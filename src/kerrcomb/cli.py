@@ -53,8 +53,13 @@ def _rows_json(header: list[str], rows: list[tuple]) -> str:
                       allow_nan=True) + "\n"
 
 
-def _emit_table(args, cfg_digest: str, out: Path, name: str,
-                header: list[str], rows: list[tuple]) -> list[Path]:
+def _write_json(out: Path, name: str, payload) -> Path:
+    return write_output(out, name,
+                        json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _emit_table(args, out: Path, name: str, header: list[str],
+                rows: list[tuple]) -> list[Path]:
     if args.format == "json":
         return [write_output(out, f"{name}.json", _rows_json(header, rows))]
     return [write_output(out, f"{name}.csv", _csv(header, rows))]
@@ -74,8 +79,7 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
             if getattr(args, name) is None:
                 raise ComputationError(f"--{name} required with --f-norm")
         drive = NormalizedDrive(f_norm=args.f_norm, dtp=args.dtp,
-                                dtl=args.dtl,
-                                dint_norm=args.dtl - args.dtp)
+                                dtl=args.dtl)
         return drive, 0.45
     if args.family is None or args.detuning_ghz is None \
             or args.apin_v_per_m is None:
@@ -118,7 +122,7 @@ def _cmd_dispersion(args, cfg: RunConfig, out: Path) -> list[Path]:
             w = disp.resonance_frequency(fam, l_idx, order)
             d_int = disp.integrated_dispersion(fam, l_idx, order)
             rows.append((fam.label, l_idx, w / (2 * math.pi), d_int))
-    return _emit_table(args, config_digest(cfg), out, "dispersion",
+    return _emit_table(args, out, "dispersion",
                        ["family", "L", "f_Hz", "Dint_rad_s"], rows)
 
 
@@ -130,7 +134,7 @@ def _cmd_overlap(args, cfg: RunConfig, out: Path) -> list[Path]:
     rows = [(w.center, w.width, "+".join(w.families),
              ";".join(repr(w.detunings[f]) for f in w.families))
             for w in windows]
-    return _emit_table(args, config_digest(cfg), out, "overlap",
+    return _emit_table(args, out, "overlap",
                        ["center_Hz", "width_Hz", "families", "detunings_Hz"],
                        rows)
 
@@ -147,7 +151,7 @@ def _cmd_transmission(args, cfg: RunConfig, out: Path) -> list[Path]:
         freqs, trans = spectra[label]
         rows.extend((label, float(f), float(t))
                     for f, t in zip(freqs, trans))
-    written = _emit_table(args, config_digest(cfg), out, "transmission",
+    written = _emit_table(args, out, "transmission",
                           ["family", "f_Hz", "transmission"], rows)
     series = [(label, (spectra[label][0] - center) / 1e9, spectra[label][1])
               for label in sorted(spectra)]
@@ -173,59 +177,94 @@ def _cmd_steady(args, cfg: RunConfig, out: Path) -> list[Path]:
                   "dtl": drive.dtl},
         "branches": [_branch_record(s) for s in states],
     }
-    body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return [write_output(out, "steady.json", body)]
+    return [_write_json(out, "steady.json", payload)]
 
 
 def _complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> list[Path]:
+def _witness(args, cfg: RunConfig):
+    """Operating state, noise spectrum, σ and witness at the CLI point."""
     drive, intrinsic = _operating_point(args, cfg)
-    roots = steady.pump_only_branches(drive.f_norm, drive.dtp)
-    state = next((s for s in roots if s.stable), roots[0])
-    sys_ = fluct.build_m(state, drive.dtl, intrinsic_fraction=intrinsic)
-    spec = fluct.noise_spectrum(sys_, args.omega)
+    op = phases.operating_state(drive, intrinsic)
+    spec = fluct.noise_spectrum(op.system, args.omega)
     sigma = duan_mod.quadrature_covariance(spec)
+    return op, spec, sigma, duan_mod.minimize_duan(sigma)
+
+
+def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> list[Path]:
+    op, spec, sigma, result = _witness(args, cfg)
     payload = {
         "omega": args.omega,
+        "phase": op.phase(result.c_min, cfg.tolerances.epsilon_ne).value,
         "s": _complex_matrix(spec.s),
         "s_minus": _complex_matrix(spec.s_minus),
         "quadrature_covariance": [[float(v) for v in row] for row in sigma],
-        "state": _branch_record(state),
+        "state": _branch_record(op.state),
     }
-    body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return [write_output(out, "spectrum.json", body)]
+    return [_write_json(out, "spectrum.json", payload)]
 
 
 def _cmd_duan(args, cfg: RunConfig, out: Path) -> list[Path]:
     if args.sigma_json is not None:
         sigma = np.array(json.loads(Path(args.sigma_json).read_text()),
                          dtype=float)
+        result = duan_mod.minimize_duan(sigma)
+        phase = None
     else:
-        drive, intrinsic = _operating_point(args, cfg)
-        roots = steady.pump_only_branches(drive.f_norm, drive.dtp)
-        state = next((s for s in roots if s.stable), roots[0])
-        sys_ = fluct.build_m(state, drive.dtl, intrinsic_fraction=intrinsic)
-        sigma = duan_mod.quadrature_covariance(
-            fluct.noise_spectrum(sys_, args.omega))
-    result = duan_mod.minimize_duan(sigma)
+        op, _, _, result = _witness(args, cfg)
+        phase = op.phase(result.c_min, cfg.tolerances.epsilon_ne).value
     payload = {"c_min": result.c_min, "theta_plus": result.theta_plus,
                "theta_minus": result.theta_minus,
-               "entangled": result.entangled}
-    body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return [write_output(out, "duan.json", body)]
+               "entangled": result.entangled, "phase": phase}
+    return [_write_json(out, "duan.json", payload)]
 
 
-def _grid_rows(grid: phases.SweepGrid) -> list[tuple]:
+_PHASE_HEADER = ["delta_p0_hz", "a_pin_v_per_m", "phase", "c_min",
+                 "n_branches", "max_eig_re"]
+
+
+def _write_phase_csv(out: Path, name: str, grid: phases.SweepGrid) -> Path:
     rows = []
     for i, delta in enumerate(grid.delta_axis):
         for j, amp in enumerate(grid.amplitude_axis):
             p = grid.points[i][j]
             rows.append((float(delta), float(amp), p.phase.value, p.c_min,
                          p.n_branches, p.max_eig_re))
-    return rows
+    return write_output(out, f"{name}.csv", _csv(_PHASE_HEADER, rows))
+
+
+def _phase_counts(grid: phases.SweepGrid) -> dict[str, int]:
+    return {p.value: grid.count(p) for p in phases.Phase}
+
+
+def _sweep(args, cfg: RunConfig, fam, L: int, delta_axis: np.ndarray,
+           amp_axis: np.ndarray) -> phases.SweepGrid:
+    return phases.sweep(fam, cfg.resonator, L, delta_axis, amp_axis,
+                        omega=args.omega,
+                        epsilon_ne=cfg.tolerances.epsilon_ne,
+                        truncation_order=cfg.tolerances.truncation_order,
+                        workers=args.workers)
+
+
+def _joint_pump(args, cfg: RunConfig, out: Path, name: str, fams,
+                ls: list[int]) -> tuple[Path, dict]:
+    """Run the joint-pump optimizer; write its payload to ``name``."""
+    delta_axis, amp_axis = _axes_from_args(args, cfg)
+    result, sweeps = phases.best_joint_pump(
+        fams, cfg.resonator, ls, delta_axis, amp_axis, omega=args.omega,
+        epsilon_ne=cfg.tolerances.epsilon_ne,
+        margin=cfg.tolerances.mi_margin_cells, workers=args.workers,
+        truncation_order=cfg.tolerances.truncation_order)
+    payload = {
+        "delta_p0_hz": result.delta_p0,
+        "amplitudes_v_per_m": result.amplitudes,
+        "worst_c_min": result.worst_c_min,
+        "per_family_c_min": result.per_family_c_min,
+        "Ls": ls,
+    }
+    return _write_json(out, name, payload), sweeps
 
 
 def _grid_svg(grid: phases.SweepGrid, cfg: RunConfig, title: str) -> str:
@@ -246,53 +285,25 @@ def _grid_svg(grid: phases.SweepGrid, cfg: RunConfig, title: str) -> str:
 
 def _cmd_phase_diagram(args, cfg: RunConfig, out: Path) -> list[Path]:
     fam = cfg.resonator.family(args.family)
-    delta_axis, amp_axis = _axes_from_args(args, cfg)
-    grid = phases.sweep(fam, cfg.resonator, args.L, delta_axis, amp_axis,
-                        omega=args.omega,
-                        epsilon_ne=cfg.tolerances.epsilon_ne,
-                        truncation_order=cfg.tolerances.truncation_order,
-                        workers=args.workers)
+    grid = _sweep(args, cfg, fam, args.L, *_axes_from_args(args, cfg))
     name = f"phase_{fam.label}_L{args.L}"
-    written = [write_output(out, f"{name}.csv", _csv(
-        ["delta_p0_hz", "a_pin_v_per_m", "phase", "c_min", "n_branches",
-         "max_eig_re"], _grid_rows(grid)))]
-    written.append(write_output(out, f"{name}.svg",
-                                _grid_svg(grid, cfg,
-                                          f"{fam.label} L={args.L}")))
     meta = {"family": fam.label, "L": args.L, "omega": args.omega,
             "epsilon_ne": cfg.tolerances.epsilon_ne,
-            "counts": {p.value: grid.count(p) for p in phases.Phase}}
-    written.append(write_output(out, f"{name}_meta.json",
-                                json.dumps(meta, sort_keys=True, indent=2)
-                                + "\n"))
-    return written
+            "counts": _phase_counts(grid)}
+    return [_write_phase_csv(out, name, grid),
+            write_output(out, f"{name}.svg",
+                         _grid_svg(grid, cfg, f"{fam.label} L={args.L}")),
+            _write_json(out, f"{name}_meta.json", meta)]
 
 
 def _cmd_best_pump(args, cfg: RunConfig, out: Path) -> list[Path]:
     fams = _families_arg(cfg, args.families)
     ls = [int(s) for s in args.Ls.split(",")]
-    delta_axis, amp_axis = _axes_from_args(args, cfg)
-    result, sweeps = phases.best_joint_pump(
-        fams, cfg.resonator, ls, delta_axis, amp_axis, omega=args.omega,
-        epsilon_ne=cfg.tolerances.epsilon_ne,
-        margin=cfg.tolerances.mi_margin_cells, workers=args.workers,
-        truncation_order=cfg.tolerances.truncation_order)
-    payload = {
-        "delta_p0_hz": result.delta_p0,
-        "amplitudes_v_per_m": result.amplitudes,
-        "worst_c_min": result.worst_c_min,
-        "per_family_c_min": result.per_family_c_min,
-        "Ls": ls,
-    }
-    written = [write_output(out, "best_pump.json",
-                            json.dumps(payload, sort_keys=True, indent=2)
-                            + "\n")]
+    path, sweeps = _joint_pump(args, cfg, out, "best_pump.json", fams, ls)
+    written = [path]
     for label, grids in sorted(sweeps.items()):
-        for grid in grids:
-            written.append(write_output(
-                out, f"best_pump_{label}_L{grid.L}.csv",
-                _csv(["delta_p0_hz", "a_pin_v_per_m", "phase", "c_min",
-                      "n_branches", "max_eig_re"], _grid_rows(grid))))
+        written.extend(_write_phase_csv(out, f"best_pump_{label}_L{grid.L}",
+                                        grid) for grid in grids)
     return written
 
 
@@ -305,8 +316,7 @@ def _cmd_oracle(args, cfg: RunConfig, out: Path) -> list[Path]:
         c_min, (tp, tm) = oracle.brute_force_duan(sigma, args.grid_n)
         payload = {"c_min": c_min, "theta_plus": tp, "theta_minus": tm,
                    "grid_n": args.grid_n}
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        return [write_output(out, "oracle_duan-grid.json", body)]
+        return [_write_json(out, "oracle_duan-grid.json", payload)]
 
     drive, intrinsic = _operating_point(args, cfg)
     if args.oracle_op == "mean-field":
@@ -320,22 +330,17 @@ def _cmd_oracle(args, cfg: RunConfig, out: Path) -> list[Path]:
             "t_end": args.t_end,
         }
     elif args.oracle_op == "jacobian":
-        roots = steady.pump_only_branches(drive.f_norm, drive.dtp)
-        state = next((s for s in roots if s.stable), roots[0])
-        analytic = fluct.build_m(state, drive.dtl,
-                                 intrinsic_fraction=intrinsic).m
-        numeric = oracle.fd_jacobian(state, drive)
+        op = phases.operating_state(drive, intrinsic)
+        analytic = op.system.m
+        numeric = oracle.fd_jacobian(op.state, drive)
         payload = {
-            "state": _branch_record(state),
+            "state": _branch_record(op.state),
             "max_abs_difference": float(np.max(np.abs(analytic - numeric))),
             "analytic": _complex_matrix(analytic),
             "finite_difference": _complex_matrix(numeric),
         }
     elif args.oracle_op == "langevin":
-        roots = steady.pump_only_branches(drive.f_norm, drive.dtp)
-        state = next((s for s in roots if s.stable), roots[0])
-        sys_ = fluct.build_m(state, drive.dtl,
-                             intrinsic_fraction=intrinsic)
+        sys_ = phases.operating_state(drive, intrinsic).system
         cov, se = oracle.langevin_covariance(
             sys_.m, intrinsic, args.n_samples, args.t_end, args.dt,
             args.seed)
@@ -351,8 +356,7 @@ def _cmd_oracle(args, cfg: RunConfig, out: Path) -> list[Path]:
         }
     else:  # pragma: no cover - argparse restricts choices
         raise ComputationError(f"unknown oracle op {args.oracle_op}")
-    body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return [write_output(out, f"oracle_{args.oracle_op}.json", body)]
+    return [_write_json(out, f"oracle_{args.oracle_op}.json", payload)]
 
 
 # ------------------------------------------------------------- reproduce
@@ -420,22 +424,13 @@ def _reproduce_phase_grids(args, cfg: RunConfig, out: Path, name: str,
     written = []
     counts = {}
     for l_idx in ls:
-        grid = phases.sweep(fam, cfg.resonator, l_idx, delta_axis, amp_axis,
-                            omega=args.omega,
-                            epsilon_ne=cfg.tolerances.epsilon_ne,
-                            truncation_order=cfg.tolerances.truncation_order,
-                            workers=args.workers)
-        written.append(write_output(
-            out, f"{name}_TE00_L{l_idx}.csv",
-            _csv(["delta_p0_hz", "a_pin_v_per_m", "phase", "c_min",
-                  "n_branches", "max_eig_re"], _grid_rows(grid))))
+        grid = _sweep(args, cfg, fam, l_idx, delta_axis, amp_axis)
+        written.append(_write_phase_csv(out, f"{name}_TE00_L{l_idx}", grid))
         written.append(write_output(out, f"{name}_TE00_L{l_idx}.svg",
                                     _grid_svg(grid, cfg,
                                               f"TE00 L={l_idx}")))
-        counts[f"L{l_idx}"] = {p.value: grid.count(p) for p in phases.Phase}
-    written.append(write_output(out, f"{name}_counts.json",
-                                json.dumps(counts, sort_keys=True, indent=2)
-                                + "\n"))
+        counts[f"L{l_idx}"] = _phase_counts(grid)
+    written.append(_write_json(out, f"{name}_counts.json", counts))
     return written
 
 
@@ -448,38 +443,27 @@ def _reproduce_fig6(args, cfg: RunConfig, out: Path) -> list[Path]:
     written = []
     for label in labels:
         fam = cfg.resonator.family(label)
-        coarse = phases.sweep(fam, cfg.resonator, 1,
-                              delta_axis[:: max(1, len(delta_axis) // 24)],
-                              amp_axis[:: max(1, len(amp_axis) // 24)],
-                              omega=args.omega,
-                              epsilon_ne=cfg.tolerances.epsilon_ne,
-                              workers=args.workers)
+        coarse = _sweep(args, cfg, fam, 1,
+                        delta_axis[:: max(1, len(delta_axis) // 24)],
+                        amp_axis[:: max(1, len(amp_axis) // 24)])
         cm = coarse.c_min_array()
         i, j = np.unravel_index(int(np.nanargmin(cm)), cm.shape)
         a_pin = float(coarse.amplitude_axis[j])
         rows = []
         for delta in delta_axis:
-            op = OperatingPoint(family=fam, L=1, delta_p0=float(delta),
-                                a_pin=a_pin)
-            drive = normalize(op, cfg.resonator,
-                              cfg.tolerances.truncation_order)
-            roots = steady.pump_only_branches(drive.f_norm, drive.dtp)
-            state = next((s for s in roots if s.stable), roots[0])
-            point = phases.classify_drive(
-                drive, omega=args.omega,
-                epsilon_ne=cfg.tolerances.epsilon_ne,
-                intrinsic_fraction=fam.intrinsic_fraction,
-                delta_p0=float(delta), a_pin=a_pin)
-            par = steady.parametric_branch(drive.f_norm, drive.dtp,
-                                           drive.dtl)
-            a2_mean = max((s.a2 for s in par), default=0.0)
-            sys_ = fluct.build_m(state, drive.dtl,
-                                 intrinsic_fraction=fam.intrinsic_fraction)
+            drive = normalize(OperatingPoint(family=fam, L=1,
+                                             delta_p0=float(delta),
+                                             a_pin=a_pin),
+                              cfg.resonator, cfg.tolerances.truncation_order)
+            op = phases.operating_state(drive, fam.intrinsic_fraction)
+            point = phases.classify_state(
+                op, omega=args.omega, epsilon_ne=cfg.tolerances.epsilon_ne)
+            a2_mean = max((s.a2 for s in op.parametric), default=0.0)
             try:
-                pair_photons = fluct.intracavity_pair_photons(sys_)
+                pair_photons = fluct.intracavity_pair_photons(op.system)
             except fluct.UnstableStateError:
                 pair_photons = math.nan
-            rows.append((float(delta), a_pin, state.ap2, a2_mean,
+            rows.append((float(delta), a_pin, op.state.ap2, a2_mean,
                          pair_photons, point.c_min, point.phase.value))
         written.append(write_output(out, f"fig6_{label}.csv", _csv(
             ["delta_p0_hz", "a_pin_v_per_m", "pump_power_norm",
@@ -499,23 +483,9 @@ def _reproduce_fig6(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _reproduce_fig7(args, cfg: RunConfig, out: Path) -> list[Path]:
     fams = [cfg.resonator.family(lbl) for lbl in ("TE00", "TE10", "TM10")]
-    delta_axis, amp_axis = _axes_from_args(args, cfg)
-    ls = [1, 3, 6]
-    result, sweeps = phases.best_joint_pump(
-        fams, cfg.resonator, ls, delta_axis, amp_axis, omega=args.omega,
-        epsilon_ne=cfg.tolerances.epsilon_ne,
-        margin=cfg.tolerances.mi_margin_cells, workers=args.workers,
-        truncation_order=cfg.tolerances.truncation_order)
-    payload = {
-        "delta_p0_hz": result.delta_p0,
-        "amplitudes_v_per_m": result.amplitudes,
-        "worst_c_min": result.worst_c_min,
-        "per_family_c_min": result.per_family_c_min,
-        "Ls": ls,
-    }
-    written = [write_output(out, "fig7_best_pump.json",
-                            json.dumps(payload, sort_keys=True, indent=2)
-                            + "\n")]
+    path, sweeps = _joint_pump(args, cfg, out, "fig7_best_pump.json",
+                               fams, [1, 3, 6])
+    written = [path]
     for label, grids in sorted(sweeps.items()):
         for grid in grids:
             written.append(write_output(out, f"fig7_{label}_L{grid.L}.svg",

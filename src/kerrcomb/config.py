@@ -38,8 +38,7 @@ _FAMILY_KEYS = {
 }
 _RESONATOR_KEYS = {"radius_um", "n2_m2_per_w", "n0", "geometry", "families"}
 _TOP_KEYS = {"resonator", "tolerances", "heatmap", "sweep_defaults"}
-_TOLERANCE_KEYS = {"epsilon_ne", "residual_cap", "omega", "mi_margin_cells",
-                   "truncation_order"}
+_TOLERANCE_KEYS = {"epsilon_ne", "mi_margin_cells", "truncation_order"}
 _SWEEP_KEYS = {"delta_min_ghz", "delta_max_ghz", "amp_min_v_per_m",
                "amp_max_v_per_m", "grid"}
 _HEATMAP_KEYS = {"bucket_edges", "bucket_colors", "mi_color"}
@@ -60,14 +59,12 @@ class ValidationError(ConfigError):
 @dataclass(frozen=True)
 class Tolerances:
     epsilon_ne: float = 1e-3
-    residual_cap: float = 1e-9
-    omega: float = 0.0
     mi_margin_cells: int = 2
     truncation_order: int = 3
 
     def __post_init__(self) -> None:
-        if self.epsilon_ne <= 0 or self.residual_cap <= 0:
-            raise ValidationError("tolerances must be positive")
+        if self.epsilon_ne <= 0:
+            raise ValidationError("epsilon_ne must be positive")
         if self.truncation_order not in (2, 3, 4, 5):
             raise ValidationError("truncation_order must be one of 2..5")
 

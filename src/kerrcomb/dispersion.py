@@ -21,13 +21,11 @@ import numpy as np
 from .model import ModalFamily, damping_rates
 
 __all__ = [
-    "ResonanceGrid",
     "OverlapWindow",
     "EmptyRangeError",
     "AllZeroError",
     "resonance_frequency",
     "integrated_dispersion",
-    "resonance_grid",
     "transmission_spectrum",
     "find_overlap_windows",
     "composite_pump_weights",
@@ -42,27 +40,6 @@ class EmptyRangeError(ValueError):
 
 class AllZeroError(ValueError):
     """Every supplied pump weight is zero."""
-
-
-@dataclass(frozen=True)
-class ResonanceGrid:
-    """Resonance angular frequencies of one family over an L interval."""
-
-    family: str
-    l_range: tuple[int, int]
-    omegas: Mapping[int, float]
-    truncation_order: int
-
-    def __post_init__(self) -> None:
-        lo, hi = self.l_range
-        ls = sorted(self.omegas)
-        if ls != list(range(lo, hi + 1)):
-            raise ValueError("omegas must cover every L in l_range")
-        vals = [self.omegas[l] for l in ls]
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError(
-                f"{self.family}: resonance grid not monotone over {self.l_range}; "
-                "shrink the L window")
 
 
 @dataclass(frozen=True)
@@ -107,15 +84,6 @@ def integrated_dispersion(family: ModalFamily, L: int,
         if n >= 2:
             d_int += d_n * L ** n / _FACTORIALS[n]
     return d_int
-
-
-def resonance_grid(family: ModalFamily, l_max: int,
-                   truncation_order: int = 3) -> ResonanceGrid:
-    """Grid over L = −l_max .. +l_max, validated for monotonicity."""
-    omegas = {l: resonance_frequency(family, l, truncation_order)
-              for l in range(-l_max, l_max + 1)}
-    return ResonanceGrid(family=family.label, l_range=(-l_max, l_max),
-                         omegas=omegas, truncation_order=truncation_order)
 
 
 def _lines_in_range(family: ModalFamily, f_lo: float, f_hi: float,

@@ -204,10 +204,9 @@ class NormalizedDrive:
     f_norm: float
     dtp: float
     dtl: float
-    dint_norm: float
 
     def __post_init__(self) -> None:
-        for name in ("f_norm", "dtp", "dtl", "dint_norm"):
+        for name in ("f_norm", "dtp", "dtl"):
             _require(math.isfinite(getattr(self, name)),
                      f"{name} must be finite")
 
@@ -279,5 +278,4 @@ def normalize(op_point: OperatingPoint, resonator: ResonatorSpec,
                        / (HBAR * omega_laser * total ** 3))
     dtp = 2.0 * math.pi * op_point.delta_p0 / total
     dint_norm = integrated_dispersion(fam, op_point.L, truncation_order) / total
-    return NormalizedDrive(f_norm=f_norm, dtp=dtp, dtl=dtp + dint_norm,
-                           dint_norm=dint_norm)
+    return NormalizedDrive(f_norm=f_norm, dtp=dtp, dtl=dtp + dint_norm)

@@ -25,16 +25,20 @@ from enum import Enum
 import numpy as np
 
 from .duan import minimize_duan, quadrature_covariance
-from .fluct import build_m, max_eigenvalue_real, noise_spectrum
+from .fluct import (FluctuationSystem, build_m, max_eigenvalue_real,
+                    noise_spectrum)
 from .model import ModalFamily, NormalizedDrive, OperatingPoint, normalize
-from .steady import parametric_branch, pump_only_branches
+from .steady import SteadyState, parametric_branch, pump_only_branches
 
 __all__ = [
     "Phase",
+    "OperatingState",
     "PhasePoint",
     "SweepGrid",
     "JointPumpResult",
     "NoFeasiblePointError",
+    "operating_state",
+    "classify_state",
     "classify_drive",
     "classify_point",
     "sweep",
@@ -104,6 +108,58 @@ class SweepGrid:
         return sum(p.phase is phase for row in self.points for p in row)
 
 
+@dataclass(frozen=True)
+class OperatingState:
+    """Everything the classification reads at one normalized drive.
+
+    ``state`` is the first stable pump-only root, else the first root;
+    ``system`` and ``max_eig_re`` belong to that state.
+    """
+
+    roots: tuple[SteadyState, ...]
+    state: SteadyState
+    parametric: tuple[SteadyState, ...]
+    system: FluctuationSystem
+    max_eig_re: float
+
+    @property
+    def is_mi(self) -> bool:
+        return (len(self.roots) > 1 or bool(self.parametric)
+                or self.max_eig_re >= 0.0)
+
+    def phase(self, c_min: float, epsilon_ne: float = EPSILON_NE) -> Phase:
+        """The phase of this state given its minimized witness."""
+        if self.is_mi:
+            return Phase.MI
+        return Phase.ET if c_min < -epsilon_ne else Phase.NE
+
+
+def operating_state(drive: NormalizedDrive,
+                    intrinsic_fraction: float = 0.45) -> OperatingState:
+    """Pump-only roots, parametric states and the selected root's M."""
+    roots = pump_only_branches(drive.f_norm, drive.dtp)
+    par = parametric_branch(drive.f_norm, drive.dtp, drive.dtl)
+    state = next((s for s in roots if s.stable), roots[0])
+    system = build_m(state, drive.dtl, intrinsic_fraction=intrinsic_fraction)
+    return OperatingState(roots=tuple(roots), state=state,
+                          parametric=tuple(par), system=system,
+                          max_eig_re=max_eigenvalue_real(system))
+
+
+def classify_state(op: OperatingState, omega: float = 0.0,
+                   epsilon_ne: float = EPSILON_NE, delta_p0: float = 0.0,
+                   a_pin: float = 0.0) -> PhasePoint:
+    """Classify an operating state; the witness is skipped on MI."""
+    c_min = math.nan
+    if not op.is_mi:
+        sigma = quadrature_covariance(noise_spectrum(op.system, omega))
+        c_min = minimize_duan(sigma).c_min
+    return PhasePoint(delta_p0=delta_p0, a_pin=a_pin,
+                      phase=op.phase(c_min, epsilon_ne), c_min=c_min,
+                      n_branches=len(op.roots), max_eig_re=op.max_eig_re,
+                      has_parametric=bool(op.parametric))
+
+
 def classify_drive(drive: NormalizedDrive, omega: float = 0.0,
                    epsilon_ne: float = EPSILON_NE,
                    intrinsic_fraction: float = 0.45,
@@ -111,22 +167,9 @@ def classify_drive(drive: NormalizedDrive, omega: float = 0.0,
                    a_pin: float = 0.0) -> PhasePoint:
     """Classify a normalized drive point (the sweep work-horse)."""
     try:
-        pump_roots = pump_only_branches(drive.f_norm, drive.dtp)
-        par = parametric_branch(drive.f_norm, drive.dtp, drive.dtl)
-        n_roots = len(pump_roots)
-        selected = next((s for s in pump_roots if s.stable), pump_roots[0])
-        sys_sel = build_m(selected, drive.dtl,
-                          intrinsic_fraction=intrinsic_fraction)
-        eig_re = max_eigenvalue_real(sys_sel)
-        if n_roots > 1 or par or eig_re >= 0.0:
-            return PhasePoint(delta_p0=delta_p0, a_pin=a_pin, phase=Phase.MI,
-                              c_min=math.nan, n_branches=n_roots,
-                              max_eig_re=eig_re, has_parametric=bool(par))
-        sigma = quadrature_covariance(noise_spectrum(sys_sel, omega))
-        c_min = minimize_duan(sigma).c_min
-        phase = Phase.ET if c_min < -epsilon_ne else Phase.NE
-        return PhasePoint(delta_p0=delta_p0, a_pin=a_pin, phase=phase,
-                          c_min=c_min, n_branches=n_roots, max_eig_re=eig_re)
+        return classify_state(operating_state(drive, intrinsic_fraction),
+                              omega=omega, epsilon_ne=epsilon_ne,
+                              delta_p0=delta_p0, a_pin=a_pin)
     except Exception as exc:  # per-cell marker, the grid must complete
         return PhasePoint(delta_p0=delta_p0, a_pin=a_pin, phase=Phase.MI,
                           c_min=math.nan, n_branches=0, max_eig_re=math.nan,

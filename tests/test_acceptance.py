@@ -28,7 +28,7 @@ def report(name: str) -> None:
 
 
 def drive_of(f, dtp, dtl):
-    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl, dint_norm=dtl - dtp)
+    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl)
 
 
 def amplitudes_of(state):

@@ -1,6 +1,9 @@
+import inspect
 import json
+
 import pytest
 
+from kerrcomb import phases
 from kerrcomb.cli import main
 from kerrcomb.config import (
     ParseError,
@@ -10,6 +13,7 @@ from kerrcomb.config import (
     load_config,
     serialize_config,
 )
+from kerrcomb.model import NormalizedDrive
 
 
 class TestConfig:
@@ -111,6 +115,7 @@ class TestCli:
         data = json.loads((tmp_path / "o" / "duan.json").read_text())
         assert data["entangled"] is True
         assert data["c_min"] < -0.4
+        assert data["phase"] == "ET"
 
     def test_duan_from_sigma_file(self, tmp_path):
         sigma = tmp_path / "sigma.json"
@@ -121,6 +126,19 @@ class TestCli:
         assert code == 0
         data = json.loads((tmp_path / "o" / "duan.json").read_text())
         assert abs(data["c_min"]) < 1e-9
+        assert data["phase"] is None
+
+    def test_single_point_commands_flag_mi(self, tmp_path):
+        # three pump-only roots plus a parametric branch: the sweep
+        # classifier calls this point MI, and so must duan and spectrum
+        point = ["--f-norm", "1.5", "--dtp", "2.2", "--dtl", "2.2"]
+        for command in ("duan", "spectrum"):
+            out = tmp_path / command
+            assert main([command, *point, "--out", str(out)]) == 0
+            data = json.loads((out / f"{command}.json").read_text())
+            assert data["phase"] == "MI"
+        drive = NormalizedDrive(f_norm=1.5, dtp=2.2, dtl=2.2)
+        assert phases.classify_drive(drive).phase is phases.Phase.MI
 
     def test_spectrum_payload(self, tmp_path):
         code = main(["spectrum", "--family", "TE00", "--detuning-ghz", "0.2",
@@ -144,6 +162,44 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"] == digest
         assert "phase_TE00_L1.csv" in manifest["outputs"]
+
+    def test_phase_writers_agree(self, tmp_path):
+        def run(name, *argv):
+            out = tmp_path / name
+            assert main([*argv, "--grid", "6", "--out", str(out)]) == 0
+            return out
+
+        diagram = run("pd", "phase-diagram", "--family", "TE00", "--L", "1")
+        fig4 = run("fig4", "reproduce", "fig4")
+        best = run("bp", "best-pump", "--families", "TE00,TE10,TM10",
+                   "--Ls", "1,3,6")
+        fig7 = run("fig7", "reproduce", "fig7")
+        csv_bytes = (diagram / "phase_TE00_L1.csv").read_bytes()
+        assert (fig4 / "fig4_TE00_L1.csv").read_bytes() == csv_bytes
+        assert (best / "best_pump_TE00_L1.csv").read_bytes() == csv_bytes
+        assert json.loads((best / "best_pump.json").read_text()) == \
+            json.loads((fig7 / "fig7_best_pump.json").read_text())
+
+    def test_fig6_sweeps_use_config_truncation_order(self, tmp_path,
+                                                      monkeypatch):
+        raw = json.loads(default_config_path().read_text())
+        raw["tolerances"]["truncation_order"] = 5
+        path = tmp_path / "order5.json"
+        path.write_text(json.dumps(raw))
+        original = phases.sweep
+        orders = []
+
+        def sweep(*args, **kwargs):
+            bound = inspect.signature(original).bind(*args, **kwargs)
+            bound.apply_defaults()
+            orders.append(bound.arguments["truncation_order"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(phases, "sweep", sweep)
+        code = main(["--config", str(path), "reproduce", "fig6",
+                     "--grid", "4", "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert orders == [5, 5, 5]
 
     def test_manifest_checksums_stable(self, tmp_path):
         args = ["dispersion", "--l-min", "-1", "--l-max", "1"]

@@ -10,7 +10,6 @@ from kerrcomb.dispersion import (
     find_overlap_windows,
     integrated_dispersion,
     resonance_frequency,
-    resonance_grid,
     transmission_spectrum,
 )
 from kerrcomb.model import damping_rates
@@ -49,12 +48,6 @@ class TestResonanceFrequency:
         omegas = [resonance_frequency(te00, l, 2) for l in range(-40, 41)]
         ulp = np.spacing(max(omegas))
         assert np.allclose(np.diff(omegas, 2), te00.d2, atol=8 * ulp)
-
-    def test_grid_monotone_guard(self, te00):
-        grid = resonance_grid(te00, 50)
-        ls = list(range(-50, 51))
-        vals = [grid.omegas[l] for l in ls]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 class TestIntegratedDispersion:

@@ -11,7 +11,7 @@ from kerrcomb.steady import Branch, SteadyState, pump_only_branches
 
 
 def drive_of(f, dtp, dtl):
-    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl, dint_norm=dtl - dtp)
+    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl)
 
 
 class TestMeanField:

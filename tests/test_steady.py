@@ -17,7 +17,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def drive_of(f, dtp, dtl):
-    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl, dint_norm=dtl - dtp)
+    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl)
 
 
 def amplitudes_of(state: SteadyState) -> np.ndarray:
