@@ -80,7 +80,7 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
                 raise ComputationError(f"--{name} required with --f-norm")
         drive = NormalizedDrive(f_norm=args.f_norm, dtp=args.dtp,
                                 dtl=args.dtl)
-        return drive, 0.45
+        return drive, fluct.DEFAULT_INTRINSIC_FRACTION
     if args.family is None or args.detuning_ghz is None \
             or args.apin_v_per_m is None:
         raise ComputationError(
@@ -110,51 +110,71 @@ def _axes_from_args(args, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
             np.linspace(amp_lo, amp_hi, n))
 
 
-# ---------------------------------------------------------------- handlers
+def _load_sigma(path: str) -> np.ndarray:
+    """The 4×4 covariance of a --sigma-json file, checked before use."""
+    sigma = np.array(json.loads(Path(path).read_text()), dtype=float)
+    if sigma.shape != (4, 4):
+        raise ComputationError(f"--sigma-json is {sigma.shape}, not 4x4")
+    if not np.isfinite(sigma).all():
+        raise ComputationError("--sigma-json has non-finite entries")
+    if not np.allclose(sigma, sigma.T, atol=1e-9):
+        raise ComputationError("--sigma-json matrix is not symmetric")
+    return sigma
 
 
-def _cmd_dispersion(args, cfg: RunConfig, out: Path) -> list[Path]:
-    fams = _families_arg(cfg, args.families)
-    order = cfg.tolerances.truncation_order
-    rows = []
-    for fam in fams:
-        for l_idx in range(args.l_min, args.l_max + 1):
-            w = disp.resonance_frequency(fam, l_idx, order)
-            d_int = disp.integrated_dispersion(fam, l_idx, order)
-            rows.append((fam.label, l_idx, w / (2 * math.pi), d_int))
-    return _emit_table(args, out, "dispersion",
-                       ["family", "L", "f_Hz", "Dint_rad_s"], rows)
+def _dispersion_table(fams, ls, order: int) -> tuple[list[str], list[tuple]]:
+    return ["family", "L", "f_Hz", "Dint_rad_s"], [
+        (fam.label, l,
+         float(disp.resonance_frequency(fam, l, order) / (2 * math.pi)),
+         float(disp.integrated_dispersion(fam, l, order)))
+        for fam in fams for l in ls]
 
 
-def _cmd_overlap(args, cfg: RunConfig, out: Path) -> list[Path]:
-    fams = _families_arg(cfg, args.families)
-    windows = disp.find_overlap_windows(
-        fams, (args.f_min_thz * 1e12, args.f_max_thz * 1e12),
-        args.tolerance_ghz * 1e9, cfg.tolerances.truncation_order)
-    rows = [(w.center, w.width, "+".join(w.families),
-             ";".join(repr(w.detunings[f]) for f in w.families))
-            for w in windows]
-    return _emit_table(args, out, "overlap",
-                       ["center_Hz", "width_Hz", "families", "detunings_Hz"],
-                       rows)
+def _overlap_table(fams, f_range: tuple[float, float], tolerance: float,
+                   order: int) -> tuple[list[str], list[tuple]]:
+    windows = disp.find_overlap_windows(fams, f_range, tolerance, order)
+    return ["center_Hz", "width_Hz", "families", "detunings_Hz"], [
+        (w.center, w.width, "+".join(w.families),
+         ";".join(repr(w.detunings[f]) for f in w.families))
+        for w in windows]
 
 
-def _cmd_transmission(args, cfg: RunConfig, out: Path) -> list[Path]:
-    fams = _families_arg(cfg, args.families)
-    center = args.center_thz * 1e12
-    half = args.span_ghz * 1e9 / 2.0
+def _transmission_table(fams, center: float, half: float, samples: int,
+                        order: int) -> tuple[list[str], list[tuple], list]:
+    """Header, rows and the plot series in GHz from ``center``."""
     spectra = disp.transmission_spectrum(
-        fams, (center - half, center + half), args.samples,
-        cfg.tolerances.truncation_order)
-    rows = []
+        fams, (center - half, center + half), samples, order)
+    rows, series = [], []
     for label in sorted(spectra):
         freqs, trans = spectra[label]
         rows.extend((label, float(f), float(t))
                     for f, t in zip(freqs, trans))
-    written = _emit_table(args, out, "transmission",
-                          ["family", "f_Hz", "transmission"], rows)
-    series = [(label, (spectra[label][0] - center) / 1e9, spectra[label][1])
-              for label in sorted(spectra)]
+        series.append((label, (freqs - center) / 1e9, trans))
+    return ["family", "f_Hz", "transmission"], rows, series
+
+
+# ---------------------------------------------------------------- handlers
+
+
+def _cmd_dispersion(args, cfg: RunConfig, out: Path) -> list[Path]:
+    return _emit_table(args, out, "dispersion", *_dispersion_table(
+        _families_arg(cfg, args.families), range(args.l_min, args.l_max + 1),
+        cfg.tolerances.truncation_order))
+
+
+def _cmd_overlap(args, cfg: RunConfig, out: Path) -> list[Path]:
+    return _emit_table(args, out, "overlap", *_overlap_table(
+        _families_arg(cfg, args.families),
+        (args.f_min_thz * 1e12, args.f_max_thz * 1e12),
+        args.tolerance_ghz * 1e9, cfg.tolerances.truncation_order))
+
+
+def _cmd_transmission(args, cfg: RunConfig, out: Path) -> list[Path]:
+    header, rows, series = _transmission_table(
+        _families_arg(cfg, args.families), args.center_thz * 1e12,
+        args.span_ghz * 1e9 / 2.0, args.samples,
+        cfg.tolerances.truncation_order)
+    written = _emit_table(args, out, "transmission", header, rows)
     svg = line_plot_svg(series, config_digest(cfg),
                         x_label=f"f - {args.center_thz} THz (GHz)",
                         y_label="through-port transmission",
@@ -208,9 +228,7 @@ def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _cmd_duan(args, cfg: RunConfig, out: Path) -> list[Path]:
     if args.sigma_json is not None:
-        sigma = np.array(json.loads(Path(args.sigma_json).read_text()),
-                         dtype=float)
-        result = duan_mod.minimize_duan(sigma)
+        result = duan_mod.minimize_duan(_load_sigma(args.sigma_json))
         phase = None
     else:
         op, _, _, result = _witness(args, cfg)
@@ -311,9 +329,8 @@ def _cmd_oracle(args, cfg: RunConfig, out: Path) -> list[Path]:
     if args.oracle_op == "duan-grid":
         if args.sigma_json is None:
             raise ComputationError("duan-grid requires --sigma-json")
-        sigma = np.array(json.loads(Path(args.sigma_json).read_text()),
-                         dtype=float)
-        c_min, (tp, tm) = oracle.brute_force_duan(sigma, args.grid_n)
+        c_min, (tp, tm) = oracle.brute_force_duan(
+            _load_sigma(args.sigma_json), args.grid_n)
         payload = {"c_min": c_min, "theta_plus": tp, "theta_minus": tm,
                    "grid_n": args.grid_n}
         return [_write_json(out, "oracle_duan-grid.json", payload)]
@@ -363,20 +380,13 @@ def _cmd_oracle(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _reproduce_fig2(args, cfg: RunConfig, out: Path) -> list[Path]:
-    order = cfg.tolerances.truncation_order
-    rows = []
-    series = []
-    for fam in cfg.resonator.families:
-        ls = np.arange(-600, 601, 4)
-        d_int = np.array([disp.integrated_dispersion(fam, int(l), order)
-                          for l in ls])
-        freqs = np.array([disp.resonance_frequency(fam, int(l), order)
-                          for l in ls]) / (2 * math.pi)
-        rows.extend((fam.label, int(l), float(f), float(d))
-                    for l, f, d in zip(ls, freqs, d_int))
-        series.append((fam.label, ls.astype(float), d_int / (2e9 * math.pi)))
-    written = [write_output(out, "fig2_dispersion.csv", _csv(
-        ["family", "L", "f_Hz", "Dint_rad_s"], rows))]
+    fams = cfg.resonator.families
+    ls = range(-600, 601, 4)
+    header, rows = _dispersion_table(fams, ls, cfg.tolerances.truncation_order)
+    d_int = np.array([r[3] for r in rows]).reshape(len(fams), len(ls))
+    series = [(fam.label, np.array(ls, dtype=float), d / (2e9 * math.pi))
+              for fam, d in zip(fams, d_int)]
+    written = [write_output(out, "fig2_dispersion.csv", _csv(header, rows))]
     svg = line_plot_svg(series, config_digest(cfg),
                         x_label="mode index L",
                         y_label="integrated dispersion (GHz)",
@@ -389,26 +399,12 @@ def _reproduce_fig3(args, cfg: RunConfig, out: Path) -> list[Path]:
     labels = ("TE00", "TE10", "TM10")
     fams = [cfg.resonator.family(lbl) for lbl in labels]
     center = 214.593e12
-    spectra = disp.transmission_spectrum(
-        fams, (center - 15e9, center + 15e9), 3001,
-        cfg.tolerances.truncation_order)
-    rows = []
-    for label in sorted(spectra):
-        freqs, trans = spectra[label]
-        rows.extend((label, float(f), float(t))
-                    for f, t in zip(freqs, trans))
-    written = [write_output(out, "fig3_transmission.csv", _csv(
-        ["family", "f_Hz", "transmission"], rows))]
-    windows = disp.find_overlap_windows(
-        fams, (center - 60e9, center + 60e9), 2e9,
-        cfg.tolerances.truncation_order)
-    win_rows = [(w.center, w.width, "+".join(w.families),
-                 ";".join(repr(w.detunings[f]) for f in w.families))
-                for w in windows]
-    written.append(write_output(out, "fig3_overlap.csv", _csv(
-        ["center_Hz", "width_Hz", "families", "detunings_Hz"], win_rows)))
-    series = [(label, (spectra[label][0] - center) / 1e9, spectra[label][1])
-              for label in sorted(spectra)]
+    order = cfg.tolerances.truncation_order
+    header, rows, series = _transmission_table(fams, center, 15e9, 3001,
+                                               order)
+    overlap = _overlap_table(fams, (center - 60e9, center + 60e9), 2e9, order)
+    written = [write_output(out, "fig3_transmission.csv", _csv(header, rows)),
+               write_output(out, "fig3_overlap.csv", _csv(*overlap))]
     svg = line_plot_svg(series, config_digest(cfg),
                         x_label="f - 214.593 THz (GHz)",
                         y_label="through-port transmission",

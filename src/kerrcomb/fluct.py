@@ -45,6 +45,7 @@ __all__ = [
     "SingularResolventError",
     "UnstableStateError",
     "C_VAC",
+    "DEFAULT_INTRINSIC_FRACTION",
     "build_m",
     "noise_spectrum",
     "intracavity_pair_photons",
@@ -59,6 +60,9 @@ C_VAC = np.zeros((4, 4))
 C_VAC[0, 1] = 1.0
 C_VAC[2, 3] = 1.0
 C_VAC.setflags(write=False)
+
+# μ/Γ used when a drive comes without a modal family (raw normalized input)
+DEFAULT_INTRINSIC_FRACTION = 0.45
 
 # direction of the free signal/idler phase split (exact null mode of M
 # on the parametric branch)
@@ -104,7 +108,8 @@ class NoiseSpectrum:
 
 
 def build_m(state: SteadyState, dtl: float,
-            intrinsic_fraction: float = 0.45) -> FluctuationSystem:
+            intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
+            ) -> FluctuationSystem:
     """Fluctuation system around a steady state.
 
     Below threshold the pair phase is a pure gauge; the stored phi = 0

@@ -25,8 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .duan import minimize_duan, quadrature_covariance
-from .fluct import (FluctuationSystem, build_m, max_eigenvalue_real,
-                    noise_spectrum)
+from .fluct import (DEFAULT_INTRINSIC_FRACTION, FluctuationSystem, build_m,
+                    max_eigenvalue_real, noise_spectrum)
 from .model import ModalFamily, NormalizedDrive, OperatingPoint, normalize
 from .steady import SteadyState, parametric_branch, pump_only_branches
 
@@ -135,7 +135,8 @@ class OperatingState:
 
 
 def operating_state(drive: NormalizedDrive,
-                    intrinsic_fraction: float = 0.45) -> OperatingState:
+                    intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
+                    ) -> OperatingState:
     """Pump-only roots, parametric states and the selected root's M."""
     roots = pump_only_branches(drive.f_norm, drive.dtp)
     par = parametric_branch(drive.f_norm, drive.dtp, drive.dtl)
@@ -162,7 +163,7 @@ def classify_state(op: OperatingState, omega: float = 0.0,
 
 def classify_drive(drive: NormalizedDrive, omega: float = 0.0,
                    epsilon_ne: float = EPSILON_NE,
-                   intrinsic_fraction: float = 0.45,
+                   intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
                    delta_p0: float = 0.0,
                    a_pin: float = 0.0) -> PhasePoint:
     """Classify a normalized drive point (the sweep work-horse)."""

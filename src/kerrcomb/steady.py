@@ -25,7 +25,7 @@ past that detuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -46,6 +46,9 @@ __all__ = [
 _RESIDUAL_TOL = 1e-9
 _STEP_TOL = 1e-12
 _MAX_ITER = 100
+_SCAN_POINTS = 1200  # samples per square-root branch in parametric_branch
+_THRESHOLD_F_MAX = 20.0  # threshold reports exists = False above this F
+_THRESHOLD_SCAN_POINTS = 20000
 
 
 class NoConvergenceError(RuntimeError):
@@ -259,34 +262,32 @@ def fully_stable(state: SteadyState, dtp: float, dtl: float,
     return bool(np.max(eigs.real) < 0.0)
 
 
-def _pair_residuals(x: float, y: float, f_norm: float,
-                    dtp: float, dtl: float) -> tuple[float, float]:
+def _pair_system(x: float, y: float, f_norm: float, dtp: float,
+                 dtl: float) -> tuple[float, float, tuple[float, ...]]:
+    """Residuals of the two pair equations and their Jacobian in (x, y)."""
     u = dtl - 2.0 * x - 3.0 * y
-    r1 = x * x - 1.0 - u * u
+    w = dtl - 3.0 * y
     g = 1.0 + 2.0 * y / x
-    h = dtp - x - (2.0 * y / x) * (dtl - 3.0 * y)
+    h = dtp - x - (2.0 * y / x) * w
+    r1 = x * x - 1.0 - u * u
     r2 = x * (g * g + h * h) - f_norm * f_norm
-    return r1, r2
+    dg_dx = -2.0 * y / (x * x)
+    dg_dy = 2.0 / x
+    dh_dx = -1.0 + (2.0 * y / (x * x)) * w
+    dh_dy = -(2.0 / x) * w + (2.0 * y / x) * 3.0
+    jac = (2.0 * x + 4.0 * u, 6.0 * u,
+           g * g + h * h + x * (2.0 * g * dg_dx + 2.0 * h * dh_dx),
+           x * (2.0 * g * dg_dy + 2.0 * h * dh_dy))
+    return r1, r2, jac
 
 
 def _polish_pair(x: float, y: float, f_norm: float, dtp: float,
                  dtl: float) -> tuple[float, float]:
     """Damped Newton on the two-equation residual."""
     for _ in range(_MAX_ITER):
-        r1, r2 = _pair_residuals(x, y, f_norm, dtp, dtl)
+        r1, r2, (j11, j12, j21, j22) = _pair_system(x, y, f_norm, dtp, dtl)
         if abs(r1) < _RESIDUAL_TOL and abs(r2) < _RESIDUAL_TOL:
             return x, y
-        u = dtl - 2.0 * x - 3.0 * y
-        g = 1.0 + 2.0 * y / x
-        h = dtp - x - (2.0 * y / x) * (dtl - 3.0 * y)
-        j11 = 2.0 * x + 4.0 * u
-        j12 = 6.0 * u
-        dg_dx = -2.0 * y / (x * x)
-        dg_dy = 2.0 / x
-        dh_dx = -1.0 + (2.0 * y / (x * x)) * (dtl - 3.0 * y)
-        dh_dy = -(2.0 / x) * (dtl - 3.0 * y) + (2.0 * y / x) * 3.0
-        j21 = g * g + h * h + x * (2.0 * g * dg_dx + 2.0 * h * dh_dx)
-        j22 = x * (2.0 * g * dg_dy + 2.0 * h * dh_dy)
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
             break
@@ -299,14 +300,14 @@ def _polish_pair(x: float, y: float, f_norm: float, dtp: float,
         y += scale * dy
         if math.hypot(scale * dx, scale * dy) < _STEP_TOL:
             break
-    r1, r2 = _pair_residuals(x, y, f_norm, dtp, dtl)
+    r1, r2, _ = _pair_system(x, y, f_norm, dtp, dtl)
     if abs(r1) < _RESIDUAL_TOL and abs(r2) < _RESIDUAL_TOL:
         return x, y
     raise NoConvergenceError(
         f"pair root polishing stalled at residuals ({r1:.3e}, {r2:.3e})")
 
 
-def _branch_drive_curve(xs: np.ndarray, sign: float, dtp: float,
+def _branch_drive_curve(xs: np.ndarray | float, sign: float, dtp: float,
                         dtl: float) -> tuple[np.ndarray, np.ndarray]:
     """(y, F²) along one sign branch of the gain-balance line."""
     s = sign * np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
@@ -316,8 +317,8 @@ def _branch_drive_curve(xs: np.ndarray, sign: float, dtp: float,
     return ys, xs * (g * g + h * h)
 
 
-def parametric_branch(f_norm: float, dtp: float, dtl: float,
-                      scan_points: int = 1200) -> list[SteadyState]:
+def parametric_branch(f_norm: float, dtp: float,
+                      dtl: float) -> list[SteadyState]:
     """All steady states with nonzero signal/idler power at this drive.
 
     The gain-balance line x² = 1 + (Δ̃_L − 2x − 3y)² is swept in x on
@@ -341,46 +342,40 @@ def parametric_branch(f_norm: float, dtp: float, dtl: float,
     x_dn = (2.0 * dtl - s3) / 3.0
     x_up = (2.0 * dtl + s3) / 3.0
     x_cap = max(f_norm * f_norm, 1.0) + 1.0
-    intervals = []
-    if dtl > 2.0:
-        intervals.append((+1.0, 1.0, min(x_dn, x_cap)))
-        intervals.append((-1.0, 1.0, min(x_up, x_cap)))
-    else:
-        intervals.append((+1.0, 1.0, min(x_dn, x_cap)))
-        intervals.append((-1.0, x_dn, min(x_up, x_cap)))
+    f_sq = f_norm * f_norm
+    intervals = ((+1.0, 1.0, min(x_dn, x_cap)),
+                 (-1.0, 1.0 if dtl > 2.0 else x_dn, min(x_up, x_cap)))
 
     solutions: list[tuple[float, float]] = []
     for sign, a, b in intervals:
         if not b > a:
             continue
-        xs = np.linspace(a, b, scan_points)
-        ys, f_sq = _branch_drive_curve(xs, sign, dtp, dtl)
-        ok = ys > 0.0
-        resid = f_sq - f_norm * f_norm
-        for i in range(len(xs) - 1):
-            if not (ok[i] and ok[i + 1]):
+        xs = np.linspace(a, b, _SCAN_POINTS)
+        ys, curve = _branch_drive_curve(xs, sign, dtp, dtl)
+        resid = curve - f_sq
+        pos = ys > 0.0
+        brackets = (pos[:-1] & pos[1:]) & (
+            (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))
+        for i in np.flatnonzero(brackets):
+            # bisect the bracket on this branch, then polish in 2-D
+            lo, hi = xs[i], xs[i + 1]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if (_branch_drive_curve(mid, sign, dtp, dtl)[1]
+                        - f_sq) * resid[i] > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            x0 = 0.5 * (lo + hi)
+            y0 = _branch_drive_curve(x0, sign, dtp, dtl)[0]
+            if y0 <= 0.0:
                 continue
-            if resid[i] == 0.0 or resid[i] * resid[i + 1] < 0.0:
-                # bisect the bracket on this branch, then polish in 2-D
-                lo, hi = xs[i], xs[i + 1]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    _, fm = _branch_drive_curve(np.array([mid]), sign, dtp, dtl)
-                    if (fm[0] - f_norm * f_norm) * resid[i] > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                x0 = 0.5 * (lo + hi)
-                y0 = (dtl - 2.0 * x0
-                      - sign * math.sqrt(max(x0 * x0 - 1.0, 0.0))) / 3.0
-                if y0 <= 0.0:
-                    continue
-                try:
-                    x, y = _polish_pair(x0, y0, f_norm, dtp, dtl)
-                except NoConvergenceError:
-                    continue
-                if y > 0.0:
-                    solutions.append((x, y))
+            try:
+                x, y = _polish_pair(x0, y0, f_norm, dtp, dtl)
+            except NoConvergenceError:
+                continue
+            if y > 0.0:
+                solutions.append((x, y))
 
     deduped: list[tuple[float, float]] = []
     for x, y in sorted(solutions):
@@ -390,28 +385,23 @@ def parametric_branch(f_norm: float, dtp: float, dtl: float,
 
     states = []
     for x, y in deduped:
-        sin_phi = 1.0 / x
-        cos_phi = (dtl - 3.0 * y - 2.0 * x) / x
-        phi = math.atan2(sin_phi, cos_phi)
+        phi = math.atan2(1.0 / x, (dtl - 3.0 * y - 2.0 * x) / x)
         sin_psi = (math.sqrt(x) / f_norm) * (
             dtp - x - (2.0 * y / x) * (dtl - 3.0 * y))
         cos_psi = (math.sqrt(x) / f_norm) * (1.0 + 2.0 * y / x)
-        psi = math.atan2(sin_psi, cos_psi)
-        state = SteadyState(ap2=x, a2=y, phi=phi, psi=psi,
+        state = SteadyState(ap2=x, a2=y, phi=phi,
+                            psi=math.atan2(sin_psi, cos_psi),
                             branch=Branch.PARAMETRIC, stable=False)
         # pair-subspace stability (quantum-side gate) plus the full
         # three-mode linearization: the frozen-pump matrix alone misses
         # pump-mediated instabilities of oscillating states
         stable = (parametric_mode_stable(build_m(state, dtl))
                   and fully_stable(state, dtp, dtl))
-        state = SteadyState(ap2=x, a2=y, phi=phi, psi=psi,
-                            branch=Branch.PARAMETRIC, stable=stable)
-        states.append(state)
+        states.append(replace(state, stable=stable))
     return states
 
 
-def threshold(dtp: float, dtl: float, f_max: float = 20.0,
-              scan_points: int = 20000) -> ThresholdReport:
+def threshold(dtp: float, dtl: float) -> ThresholdReport:
     """Lowest drive F at which a parametric solution appears.
 
     The drive equation along the gain-balance line gives the attainable
@@ -419,20 +409,22 @@ def threshold(dtp: float, dtl: float, f_max: float = 20.0,
     narrow existence windows, unlike probing F blindly), brackets its
     minimum, and a bisection on actual parametric_branch existence
     sharpens the edge. Reports exists = False when nothing oscillates up
-    to f_max.
+    to F = 20.
     """
     if dtl <= math.sqrt(3.0):
         return ThresholdReport(f_threshold=math.nan, exists=False)
     # y > 0 confines x between the roots of 3x² − 4·dtl·x + dtl² + 1
     x_top = (2.0 * dtl + math.sqrt(dtl * dtl - 3.0)) / 3.0
-    xs = np.linspace(1.0, min(x_top + 1.0, f_max * f_max + 1.0), scan_points)
+    f_max_sq = _THRESHOLD_F_MAX * _THRESHOLD_F_MAX
+    xs = np.linspace(1.0, min(x_top + 1.0, f_max_sq + 1.0),
+                     _THRESHOLD_SCAN_POINTS)
     best = math.inf
     for sign in (+1.0, -1.0):
         ys, f_sq = _branch_drive_curve(xs, sign, dtp, dtl)
         ok = (ys > 0.0) & (f_sq > 0.0)
         if ok.any():
             best = min(best, float(np.min(f_sq[ok])))
-    if not math.isfinite(best) or best > f_max * f_max:
+    if not math.isfinite(best) or best > f_max_sq:
         return ThresholdReport(f_threshold=math.nan, exists=False)
 
     def exists_at(f: float) -> bool:

@@ -128,6 +128,25 @@ class TestCli:
         assert abs(data["c_min"]) < 1e-9
         assert data["phase"] is None
 
+    @pytest.mark.parametrize("matrix, problem", [
+        ([[0.5, 0.3, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5]],
+         "not symmetric"),
+        ([[float("nan"), 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
+          [0, 0, 0, 0.5]], "non-finite"),
+        ([[0.5, 0], [0, 0.5]], "4x4"),
+    ], ids=["asymmetric", "nan", "2x2"])
+    @pytest.mark.parametrize("command", [["duan"], ["oracle", "duan-grid"]],
+                             ids=["duan", "duan-grid"])
+    def test_bad_sigma_json_rejected(self, tmp_path, capsys, matrix,
+                                     problem, command):
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps(matrix))
+        code = main([*command, "--sigma-json", str(sigma),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_single_point_commands_flag_mi(self, tmp_path):
         # three pump-only roots plus a parametric branch: the sweep
         # classifier calls this point MI, and so must duan and spectrum

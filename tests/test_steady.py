@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kerrcomb import oracle
 from kerrcomb.model import NormalizedDrive
@@ -149,6 +151,22 @@ class TestParametric:
         assert len(sols) == 3
         for s in sols:
             assert ode_residual(s, 1.6, 2.4, 2.4) < 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=1500)
+    @given(f=st.floats(0.0, 4.0, exclude_min=True),
+           dtp=st.floats(-1.0, 6.0), dtl=st.floats(1.5, 7.0))
+    @example(f=1.6, dtp=2.4, dtl=2.4)
+    def test_every_root_is_an_ode_fixed_point(self, f, dtp, dtl):
+        sols = parametric_branch(f, dtp, dtl)
+        for s in sols:
+            assert s.a2 > 0.0
+            assert s.ap2 >= 1.0
+            assert ode_residual(s, f, dtp, dtl) < 1e-10
+        for a, b in zip(sols, sols[1:]):
+            assert a.ap2 <= b.ap2
+        for i, a in enumerate(sols):
+            for b in sols[i + 1:]:
+                assert max(abs(a.ap2 - b.ap2), abs(a.a2 - b.a2)) >= 1e-7
 
     def test_stability_split(self):
         # two gates: the positive gain-mismatch branch is always
