@@ -155,27 +155,25 @@ def parametric_mode_stable(sys: FluctuationSystem,
 
 
 def noise_spectrum(sys: FluctuationSystem, omega: float) -> NoiseSpectrum:
-    """Output spectral noise density S at ±omega (units of Γ)."""
-    s = _spectrum_at(sys, omega)
-    s_minus = _spectrum_at(sys, -omega)
-    return NoiseSpectrum(omega=omega, s=s, s_minus=s_minus)
+    """Output spectral noise density S at ±omega (units of Γ).
 
-
-def _spectrum_at(sys: FluctuationSystem, omega: float) -> np.ndarray:
+    S(ω) pairs R(ω) with R(−ω) and S(−ω) pairs them the other way round,
+    so one resolvent per sign serves both.
+    """
+    gains = []
     for w in (omega, -omega):
-        if abs(np.linalg.det(1j * w * _EYE4 - sys.m)) < 1e-14:
+        shifted = 1j * w * _EYE4 - sys.m
+        if abs(np.linalg.det(shifted)) < 1e-14:
             raise SingularResolventError(
                 f"iω − M singular at ω = {w:g}; state is marginal")
-    r_plus = np.linalg.inv(1j * omega * _EYE4 - sys.m)
-    r_minus = np.linalg.inv(-1j * omega * _EYE4 - sys.m)
-    # T_out = T_in: each gain is t_in·R·t_in or t_in·R·t_loss
-    t_in, t_loss = sys.t_in, sys.t_loss
-    gain_in = t_in * r_plus * t_in - _EYE4
-    gain_in_m = t_in * r_minus * t_in - _EYE4
-    gain_loss = t_in * r_plus * t_loss
-    gain_loss_m = t_in * r_minus * t_loss
-    return (gain_in @ C_VAC @ gain_in_m.T
-            + gain_loss @ C_VAC @ gain_loss_m.T)
+        r = np.linalg.inv(shifted)
+        # T_out = T_in: each gain is t_in·R·t_in or t_in·R·t_loss
+        gains.append((sys.t_in * r * sys.t_in - _EYE4,
+                      sys.t_in * r * sys.t_loss))
+    (in_p, loss_p), (in_m, loss_m) = gains
+    s = in_p @ C_VAC @ in_m.T + loss_p @ C_VAC @ loss_m.T
+    s_minus = in_m @ C_VAC @ in_p.T + loss_m @ C_VAC @ loss_p.T
+    return NoiseSpectrum(omega=omega, s=s, s_minus=s_minus)
 
 
 def intracavity_pair_photons(sys: FluctuationSystem) -> float:

@@ -271,43 +271,33 @@ def best_joint_pump(families: list[ModalFamily], resonator, Ls: list[int],
     """
     if not families:
         raise ValueError("at least one family required")
-    sweeps: dict[str, list[SweepGrid]] = {}
-    masks: dict[str, np.ndarray] = {}
+    sweeps = {fam.label: [sweep(fam, resonator, L, delta_axis, amplitude_axis,
+                                omega=omega, epsilon_ne=epsilon_ne,
+                                truncation_order=truncation_order,
+                                workers=workers)
+                          for L in Ls]
+              for fam in families}
+    # per family and detuning row: the amplitude whose worst witness over
+    # L is lowest outside the MI margin, and that witness value
+    rows = np.arange(len(delta_axis))
+    best_j, best_val = [], []
     for fam in families:
-        grids = [sweep(fam, resonator, L, delta_axis, amplitude_axis,
-                       omega=omega, epsilon_ne=epsilon_ne,
-                       truncation_order=truncation_order, workers=workers)
-                 for L in Ls]
-        sweeps[fam.label] = grids
-        masks[fam.label] = _mi_exclusion_mask(grids, margin)
-
-    best: JointPumpResult | None = None
-    for i, delta in enumerate(delta_axis):
-        amplitudes: dict[str, float] = {}
-        per_family: dict[str, float] = {}
-        feasible = True
-        for fam in families:
-            worst_by_amp = np.max(
-                np.stack([g.c_min_array()[i] for g in sweeps[fam.label]]),
-                axis=0)
-            worst_by_amp = np.where(masks[fam.label][i], np.inf, worst_by_amp)
-            j = int(np.argmin(worst_by_amp))
-            val = float(worst_by_amp[j])
-            if not math.isfinite(val) or val >= -epsilon_ne:
-                feasible = False
-                break
-            amplitudes[fam.label] = float(amplitude_axis[j])
-            per_family[fam.label] = val
-        if not feasible:
-            continue
-        worst = max(per_family.values())
-        if best is None or worst < best.worst_c_min:
-            best = JointPumpResult(delta_p0=float(delta),
-                                   amplitudes=amplitudes,
-                                   worst_c_min=worst,
-                                   per_family_c_min=per_family)
-    if best is None:
+        grids = sweeps[fam.label]
+        worst = np.max(np.stack([g.c_min_array() for g in grids]), axis=0)
+        worst = np.where(_mi_exclusion_mask(grids, margin), np.inf, worst)
+        best_j.append(np.argmin(worst, axis=1))
+        best_val.append(worst[rows, best_j[-1]])
+    vals = np.array(best_val)
+    feasible = np.all(np.isfinite(vals) & (vals < -epsilon_ne), axis=0)
+    if not feasible.any():
         raise NoFeasiblePointError(
             "no shared detuning offers an ET cell outside the MI margin "
             "for every family")
-    return best, sweeps
+    i = int(np.argmin(np.where(feasible, np.max(vals, axis=0), np.inf)))
+    per_family = {fam.label: float(v[i]) for fam, v in zip(families, vals)}
+    return JointPumpResult(
+        delta_p0=float(delta_axis[i]),
+        amplitudes={fam.label: float(amplitude_axis[j[i]])
+                    for fam, j in zip(families, best_j)},
+        worst_c_min=max(per_family.values()),
+        per_family_c_min=per_family), sweeps

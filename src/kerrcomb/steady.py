@@ -25,6 +25,7 @@ past that detuning.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -294,7 +295,8 @@ def _polish_pair(x: float, y: float, f_norm: float, dtp: float,
         dx = (-r1 * j22 + r2 * j12) / det
         dy = (-j11 * r2 + j21 * r1) / det
         scale = 1.0
-        while scale > 1e-4 and (x + scale * dx <= 1.0 or y + scale * dy <= 0.0):
+        # x may land on the fold x = 1 where the two branches meet
+        while scale > 1e-4 and (x + scale * dx < 1.0 or y + scale * dy <= 0.0):
             scale *= 0.5
         x += scale * dx
         y += scale * dy
@@ -305,6 +307,22 @@ def _polish_pair(x: float, y: float, f_norm: float, dtp: float,
         return x, y
     raise NoConvergenceError(
         f"pair root polishing stalled at residuals ({r1:.3e}, {r2:.3e})")
+
+
+def _bisect(lo: float, hi: float, steps: int,
+            keeps_lo: Callable[[float], bool]) -> tuple[float, float]:
+    """Halve [lo, hi] up to ``steps`` times; ``keeps_lo(mid)`` moves lo.
+
+    Stops at the first step that changes neither end: every later step
+    would probe the same midpoint, so the result is that of all steps.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        new = (mid, hi) if keeps_lo(mid) else (lo, mid)
+        if new == (lo, hi):
+            break
+        lo, hi = new
+    return lo, hi
 
 
 def _branch_drive_curve(xs: np.ndarray | float, sign: float, dtp: float,
@@ -323,7 +341,8 @@ def parametric_branch(f_norm: float, dtp: float,
 
     The gain-balance line x² = 1 + (Δ̃_L − 2x − 3y)² is swept in x on
     both square-root branches; crossings of the drive equation are
-    bracketed on the sweep and Newton polished. Stability comes from the
+    bracketed on the sweep and Newton polished; a polish that does not
+    converge raises NoConvergenceError. Stability comes from the
     eigenvalues of the fluctuation matrix (the exactly-zero mode along
     the free signal/idler phase split is disregarded).
     """
@@ -358,22 +377,15 @@ def parametric_branch(f_norm: float, dtp: float,
             (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))
         for i in np.flatnonzero(brackets):
             # bisect the bracket on this branch, then polish in 2-D
-            lo, hi = xs[i], xs[i + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if (_branch_drive_curve(mid, sign, dtp, dtl)[1]
-                        - f_sq) * resid[i] > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
+            lo, hi = _bisect(
+                xs[i], xs[i + 1], 60,
+                lambda x: (_branch_drive_curve(x, sign, dtp, dtl)[1]
+                           - f_sq) * resid[i] > 0.0)
             x0 = 0.5 * (lo + hi)
             y0 = _branch_drive_curve(x0, sign, dtp, dtl)[0]
             if y0 <= 0.0:
                 continue
-            try:
-                x, y = _polish_pair(x0, y0, f_norm, dtp, dtl)
-            except NoConvergenceError:
-                continue
+            x, y = _polish_pair(x0, y0, f_norm, dtp, dtl)
             if y > 0.0:
                 solutions.append((x, y))
 
@@ -446,10 +458,5 @@ def threshold(dtp: float, dtl: float) -> ThresholdReport:
         if not exists_at(lo):
             break
         lo *= 1.0 - 1e-4
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if exists_at(mid):
-            hi = mid
-        else:
-            lo = mid
+    _, hi = _bisect(lo, hi, 80, lambda f: not exists_at(f))
     return ThresholdReport(f_threshold=hi, exists=True)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kerrcomb import phases
+from kerrcomb import phases, steady
 from kerrcomb.cli import main
 from kerrcomb.config import (
     ParseError,
@@ -99,6 +99,16 @@ class TestCli:
         code = main(["steady", "--f-norm", "1.0",
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_failed_polish_exits_1(self, tmp_path, monkeypatch):
+        def stall(*args):
+            raise steady.NoConvergenceError("stalled")
+
+        monkeypatch.setattr(steady, "_polish_pair", stall)
+        point = ["--f-norm", "1.6", "--dtp", "2.4", "--dtl", "2.4"]
+        for command in ("steady", "duan", "spectrum"):
+            out = tmp_path / command
+            assert main([command, *point, "--out", str(out)]) == 1
 
     def test_steady_json_branches(self, tmp_path):
         code = main(["steady", "--f-norm", "1.6", "--dtp", "2.4",

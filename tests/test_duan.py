@@ -114,6 +114,14 @@ class TestDuanValue:
 
 
 class TestMinimizeDuan:
+    def test_reported_angles_reach_c_min(self, rng):
+        sigmas = [VACUUM, squeezer_sigma()]
+        sigmas += [random_physical_sigma(rng) for _ in range(40)]
+        for sigma in sigmas:
+            res = minimize_duan(sigma)
+            value = duan_value(sigma, res.theta_plus, res.theta_minus)
+            assert value == pytest.approx(res.c_min, abs=1e-12)
+
     def test_vacuum_not_entangled(self):
         res = minimize_duan(VACUUM)
         assert res.c_min == pytest.approx(0.0, abs=1e-9)

@@ -116,6 +116,17 @@ class TestNoiseSpectrum:
             assert np.all(np.isfinite(spec.s.view(float)))
             assert np.max(np.abs(spec.s)) < 1e4
 
+    def test_one_resolvent_pair_serves_both_signs(self, rng):
+        for _ in range(20):
+            f = float(rng.uniform(0.1, 1.5))
+            dtp = float(rng.uniform(-1.5, 2.5))
+            state = next(s for s in pump_only_branches(f, dtp) if s.stable)
+            sys_ = build_m(state, float(rng.uniform(-1.0, 2.5)))
+            for w in (0.0, 0.3, 1.7, 3.0):
+                plus, minus = noise_spectrum(sys_, w), noise_spectrum(sys_, -w)
+                assert np.array_equal(minus.s, plus.s_minus)
+                assert np.array_equal(minus.s_minus, plus.s)
+
     def test_singular_resolvent_at_marginal_state(self):
         # place the pump exactly on the parametric gain boundary
         dtl = 2.2

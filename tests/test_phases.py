@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from kerrcomb import phases, steady
 from kerrcomb.model import NormalizedDrive, OperatingPoint, normalize
 from kerrcomb.phases import (
+    JointPumpResult,
     NoFeasiblePointError,
     Phase,
+    PhasePoint,
+    SweepGrid,
     best_joint_pump,
     classify_drive,
     classify_point,
@@ -58,6 +62,17 @@ class TestClassify:
                 assert point.n_branches == 1
                 assert point.max_eig_re < 0.0
                 assert math.isfinite(point.c_min)
+
+    def test_failed_polish_is_an_error_cell(self, monkeypatch):
+        def stall(*args):
+            raise steady.NoConvergenceError("stalled")
+
+        monkeypatch.setattr(steady, "_polish_pair", stall)
+        with pytest.raises(steady.NoConvergenceError):
+            steady.parametric_branch(1.6, 2.4, 2.4)
+        point = classify_drive(drive_of(1.6, 2.4, 2.4))
+        assert point.phase is Phase.MI
+        assert point.error.startswith("NoConvergenceError")
 
     def test_classification_is_function_of_drive(self, te00, resonator):
         op = OperatingPoint(family=te00, L=1, delta_p0=0.3e9, a_pin=9e6)
@@ -137,3 +152,81 @@ class TestBestJointPump:
         amps = np.linspace(1e2, 1e3, 4)
         with pytest.raises(NoFeasiblePointError):
             best_joint_pump([te00], resonator, [1], deltas, amps)
+
+
+def synthetic_grid(rng, label, L, deltas, amps):
+    """Random c_min on every cell; a few NaN cells marked MI."""
+    c_min = rng.uniform(-0.6, 0.2, (len(deltas), len(amps)))
+    c_min[rng.random(c_min.shape) < 0.04] = math.nan
+    points = tuple(tuple(
+        PhasePoint(delta_p0=float(d), a_pin=float(a),
+                   phase=Phase.MI if math.isnan(c) else
+                   Phase.ET if c < -1e-3 else Phase.NE,
+                   c_min=float(c), n_branches=1, max_eig_re=-1.0)
+        for a, c in zip(amps, row)) for d, row in zip(deltas, c_min))
+    return SweepGrid(family=label, L=L, delta_axis=deltas,
+                     amplitude_axis=amps, points=points)
+
+
+def reference_joint_pump(grids_by_family, deltas, amps, epsilon_ne, margin):
+    """Detuning rows one at a time; None when no row is feasible."""
+    best = None
+    for i, delta in enumerate(deltas):
+        amplitudes, per_family = {}, {}
+        for label, grids in grids_by_family.items():
+            mi = np.any([g.phase_array() == "MI" for g in grids], axis=0)
+            cands = [(max(g.points[i][j].c_min for g in grids), j)
+                     for j in range(len(amps))
+                     if not mi[max(0, i - margin):i + margin + 1,
+                               max(0, j - margin):j + margin + 1].any()]
+            if not cands:
+                break
+            val, j = min(cands)
+            if val >= -epsilon_ne:
+                break
+            amplitudes[label] = float(amps[j])
+            per_family[label] = val
+        else:
+            worst = max(per_family.values())
+            if best is None or worst < best.worst_c_min:
+                best = JointPumpResult(delta_p0=float(delta),
+                                       amplitudes=amplitudes,
+                                       worst_c_min=worst,
+                                       per_family_c_min=per_family)
+    return best
+
+
+class TestJointPumpDecision:
+    def test_matches_row_by_row_reference(self, resonator, monkeypatch):
+        families = [resonator.family(n) for n in ("TE00", "TE10", "TM10")]
+        deltas, amps = np.linspace(0.0, 1.0, 8), np.linspace(1.0, 2.0, 8)
+        outcomes = set()
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            grids = {(f.label, L): synthetic_grid(rng, f.label, L, deltas,
+                                                  amps)
+                     for f in families for L in (1, 2)}
+            monkeypatch.setattr(phases, "sweep",
+                                lambda fam, res, L, *a, **k:
+                                grids[(fam.label, L)])
+            by_family = {f.label: [grids[(f.label, L)] for L in (1, 2)]
+                         for f in families}
+            for margin in range(4):
+                for eps in (1e-3, 0.3, 5.0):
+                    ref = reference_joint_pump(by_family, deltas, amps, eps,
+                                               margin)
+                    if eps == 5.0:
+                        assert ref is None
+                    if ref is None:
+                        with pytest.raises(NoFeasiblePointError):
+                            best_joint_pump(families, resonator, [1, 2],
+                                            deltas, amps, epsilon_ne=eps,
+                                            margin=margin)
+                        outcomes.add("infeasible")
+                        continue
+                    got, _ = best_joint_pump(families, resonator, [1, 2],
+                                             deltas, amps, epsilon_ne=eps,
+                                             margin=margin)
+                    assert repr(got) == repr(ref)
+                    outcomes.add("feasible")
+        assert outcomes == {"feasible", "infeasible"}

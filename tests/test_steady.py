@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kerrcomb import oracle
+from kerrcomb import oracle, steady
 from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import (
     SteadyState,
@@ -140,6 +140,16 @@ class TestParametric:
                 assert gain == pytest.approx(mismatch, abs=1e-8)
         assert found > 20
 
+    def test_polish_converges_from_the_branch_fold(self):
+        # a bracket ending at x = 1, where the two square-root branches
+        # meet; the damped step must be allowed to stay on x = 1
+        f, dtp, dtl = (1.3889550191208353, 2.0938751944795713,
+                       2.2747623495239777)
+        x, y = steady._polish_pair(1.0, 0.0915874498413259, f, dtp, dtl)
+        assert x >= 1.0 and y > 0.0
+        r1, r2, _ = steady._pair_system(x, y, f, dtp, dtl)
+        assert max(abs(r1), abs(r2)) < 1e-9
+
     def test_phases_are_consistent(self):
         for s in parametric_branch(1.6, 2.4, 2.4):
             assert math.sin(s.phi) == pytest.approx(1.0 / s.ap2, abs=1e-9)
@@ -211,6 +221,22 @@ class TestThreshold:
             assert rep.f_threshold > 0
             assert parametric_branch(0.999 * rep.f_threshold, dtp, dtl) == []
             assert parametric_branch(1.001 * rep.f_threshold, dtp, dtl)
+
+    def test_bisection_stops_when_it_repeats(self, rng):
+        for _ in range(200):
+            edge = float(rng.uniform(1.0, 2.0))
+            lo, hi = 1.0, 2.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if mid < edge else (lo, mid)
+            probes = []
+
+            def below(x):
+                probes.append(x)
+                return x < edge
+
+            assert steady._bisect(1.0, 2.0, 80, below) == (lo, hi)
+            assert len(probes) < 60
 
     def test_far_detuned_pair_never_oscillates(self):
         rep = threshold(0.0, 1e6)
