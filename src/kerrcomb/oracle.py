@@ -234,24 +234,28 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
                         n_batches: int = 25) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimate of the zero-frequency output covariance.
 
-    Integrates d(δA) = M δA dτ + T_in dW_in + T_loss dW_loss by
-    Euler-Maruyama in the Wigner picture (vacuum inputs are complex
-    white noise of variance ½ per unit time), forms the output field
+    Samples the Euler-Maruyama chain of d(δA) = M δA dτ + T_in dW_in +
+    T_loss dW_loss in the Wigner picture (vacuum inputs are complex white
+    noise of variance ½ per unit time), forms the output field
     −A_in + T_out δA and averages it over the window after t_burn;
     across trajectories the scaled second moment of the window mean
     converges to the symmetrized output spectral density at ω = 0,
     reported in the quadrature basis (X₁, Y₁, X₂, Y₂).
 
-    Two exact reformulations keep the cost manageable without changing
-    the sampled law. First, the linear Euler recursion over a chunk of
-    steps collapses to matrix products against the stacked noise
-    (propagator powers for the end state, partial-sum blocks for the sum
-    of visited states). Second, only the combination
-    n = T_in dW_in + T_loss dW_loss drives the state, and conditioned on
-    n the input increment is dW_in = (T_in/2)·n + ξ with ξ independent
-    white noise of variance (T_loss²/4)·dτ; since ξ enters the output
-    only through its window sum, that sum is drawn as a single Gaussian
-    per trajectory.
+    The chain runs in the real coordinates r = (Re δa₋, Im δa₋,
+    Re δa₊, Im δa₊), where one step is r ↦ A r + n with
+    A = W⁻¹(I + dτ·M)W, W the map from r to (δa₋, δa₋†, δa₊, δa₊†), and
+    n of covariance (dτ/2)·I; the output quadratures are √2·r. Only
+    n = T_in dW_in + T_loss dW_loss drives the state, and conditioned
+    on n the input increment is dW_in = (T_in/2)·n + ξ with ξ
+    independent of variance (T_loss²/4)·dτ, so the window sum of ξ is
+    one Gaussian per trajectory. The chain is advanced in chunks of up
+    to 128 steps: given the state at the start of a chunk, its end
+    state and its window-sum increment are a fixed linear map of that
+    state plus a jointly Gaussian 8-vector, drawn through the symmetric
+    square root of its exact covariance. This samples exactly the law
+    of the step-by-step chain, with eight normals per trajectory and
+    chunk.
 
     Returns (covariance, standard_errors), both 4×4, from batch means
     over ``n_batches`` trajectory groups. Deterministic for a given
@@ -260,94 +264,74 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1e3 for meaningful errors")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if not 0.0 <= t_burn < t_end:
+        raise ValueError("need 0 <= t_burn < t_end")
+    if not 2 <= n_batches <= n_samples:
+        raise ValueError("n_batches must lie between 2 and n_samples")
     if np.max(np.linalg.eigvals(m).real) >= 0.0:
         raise UnstableError("M is not Hurwitz")
+    pairs = np.kron(np.eye(2), [[1.0, 1.0j], [1.0, -1.0j]])  # W: r -> δA
+    m_real = np.linalg.solve(pairs, m @ pairs)
+    if np.max(np.abs(m_real.imag)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        raise ValueError("M does not act on conjugate (δa, δa†) pairs")
     t_in = math.sqrt(2.0 * (1.0 - intrinsic_fraction))
     t_loss = math.sqrt(2.0 * intrinsic_fraction)
     t_out = t_in
     n_burn = int(round(t_burn / dt))
     n_obs = int(round((t_end - t_burn) / dt))
     if n_obs <= 0:
-        raise ValueError("t_end must exceed t_burn")
+        raise ValueError("t_end - t_burn must span at least one step dt")
     t_obs = n_obs * dt
 
-    u_block = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / math.sqrt(2.0)
-    u = np.zeros((4, 4), dtype=complex)
-    u[:2, :2] = u_block
-    u[2:, 2:] = u_block
-
     seeds = np.random.SeedSequence(seed).spawn(n_batches)
+    gens = [np.random.default_rng(ss) for ss in seeds]
     per_batch = [n_samples // n_batches] * n_batches
     for i in range(n_samples % n_batches):
         per_batch[i] += 1
-
-    stepper = np.eye(4, dtype=complex) + dt * m  # Euler one-step map
-    gens = [np.random.default_rng(ss) for ss in seeds]
     edges = np.concatenate(([0], np.cumsum(per_batch)))
-    n_total = int(edges[-1])
 
+    # lift[k] = [A^k ; t_out·dτ·Σ_{i<k} A^i] maps a chunk's start state
+    # to its end state and window-sum increment after k steps; the noise
+    # of step j of a k-step chunk enters through lift[k-1-j] - kick.
     span_max = 128
-    a_pows = [np.eye(4, dtype=complex)]
+    stepper = np.eye(4) + dt * m_real.real  # Euler one-step map A
+    powers = [np.eye(4)]
     for _ in range(span_max):
-        a_pows.append(stepper @ a_pows[-1])
-    c_pows = [a_pows[0].copy()]
-    for j in range(1, span_max + 1):
-        c_pows.append(c_pows[-1] + a_pows[j])
+        powers.append(stepper @ powers[-1])
+    sums = np.cumsum([np.zeros((4, 4))] + powers[:-1], axis=0)
+    lift = np.concatenate((powers, (t_out * dt) * sums), axis=1)
+    kick = np.vstack((np.zeros((4, 4)), (t_in / 2.0) * np.eye(4)))
+    roots: dict[int, np.ndarray] = {}
 
-    def stacked(span: int) -> tuple[np.ndarray, np.ndarray]:
-        prop = np.hstack([a_pows[span - 1 - j] for j in range(span)])
-        zero = np.zeros((4, 4), dtype=complex)
-        summ = np.hstack([c_pows[span - 2 - j] if j < span - 1 else zero
-                          for j in range(span)])
-        return prop, summ
+    def noise_root(span: int) -> np.ndarray:
+        gain = lift[:span] - kick
+        cov = (dt / 2.0) * np.einsum("kab,kcb->ac", gain, gain)
+        # rank 4 for span = 1, so Cholesky would fail there
+        vals, vecs = np.linalg.eigh(cov)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
-    def draw_state_noise(span: int, target: np.ndarray) -> None:
-        """Fill target(span, 4, n_total) with n_k, ⟨n n†⟩ = dτ·I."""
-        scale = math.sqrt(dt / 2.0)
-        for b in range(n_batches):
-            lo, hi = edges[b], edges[b + 1]
-            raw = gens[b].standard_normal((span, 2, 2, hi - lo))
-            z = (raw[:, :, 0, :] + 1j * raw[:, :, 1, :]) * scale
-            target[:, 0, lo:hi] = z[:, 0]
-            target[:, 1, lo:hi] = np.conj(z[:, 0])
-            target[:, 2, lo:hi] = z[:, 1]
-            target[:, 3, lo:hi] = np.conj(z[:, 1])
-
-    state = np.zeros((4, n_total), dtype=complex)
-    out_sum = np.zeros((4, n_total), dtype=complex)
-    noise = np.empty((span_max, 4, n_total), dtype=complex)
-
+    state = np.zeros((4, n_samples))
+    out_sum = np.zeros((4, n_samples))
     for phase_steps, observe in ((n_burn, False), (n_obs, True)):
-        done = 0
-        while done < phase_steps:
+        for done in range(0, phase_steps, span_max):
             span = min(span_max, phase_steps - done)
-            draw_state_noise(span, noise[:span])
-            flat = noise[:span].reshape(span * 4, n_total)
+            if span not in roots:
+                roots[span] = noise_root(span)
+            normals = np.hstack([g.standard_normal((8, n))
+                                 for g, n in zip(gens, per_batch)])
+            step = lift[span] @ state + roots[span] @ normals
+            state = step[:4]
             if observe:
-                prop, summ = stacked(span)
-                out_sum += (t_out * dt) * (c_pows[span - 1] @ state
-                                           + summ @ flat)
-                out_sum -= (t_in / 2.0) * noise[:span].sum(axis=0)
-                state = a_pows[span] @ state + prop @ flat
-            else:
-                prop, _ = stacked(span)
-                state = a_pows[span] @ state + prop @ flat
-            done += span
+                out_sum += step[4:]
 
     # window sum of the state-independent input residue, drawn exactly
     xi_scale = (t_loss / 2.0) * math.sqrt(t_obs / 2.0)
-    xi = np.empty((4, n_total), dtype=complex)
-    for b in range(n_batches):
-        lo, hi = edges[b], edges[b + 1]
-        raw = gens[b].standard_normal((2, 2, hi - lo))
-        z = (raw[:, 0, :] + 1j * raw[:, 1, :]) * xi_scale
-        xi[0, lo:hi] = z[0]
-        xi[1, lo:hi] = np.conj(z[0])
-        xi[2, lo:hi] = z[1]
-        xi[3, lo:hi] = np.conj(z[1])
-    out_sum -= xi
+    out_sum -= xi_scale * np.hstack([g.standard_normal((4, n))
+                                     for g, n in zip(gens, per_batch)])
 
-    quad = (u @ (out_sum / t_obs)).real
+    quad = math.sqrt(2.0) * out_sum / t_obs
     batch_covs = np.zeros((n_batches, 4, 4))
     for b in range(n_batches):
         q = quad[:, edges[b]:edges[b + 1]]

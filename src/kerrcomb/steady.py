@@ -326,9 +326,17 @@ def _bisect(lo: float, hi: float, steps: int,
 
 
 def _branch_drive_curve(xs: np.ndarray | float, sign: float, dtp: float,
-                        dtl: float) -> tuple[np.ndarray, np.ndarray]:
-    """(y, F²) along one sign branch of the gain-balance line."""
-    s = sign * np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
+                        dtl: float) -> tuple[np.ndarray | float,
+                                             np.ndarray | float]:
+    """(y, F²) along one sign branch of the gain-balance line.
+
+    A Python float runs through ``math`` with the same arithmetic in the
+    same order as an array, so both give the same bits.
+    """
+    if isinstance(xs, np.ndarray):
+        s = sign * np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
+    else:
+        s = sign * math.sqrt(max(xs * xs - 1.0, 0.0))
     ys = (dtl - 2.0 * xs - s) / 3.0
     g = 1.0 + 2.0 * ys / xs
     h = dtp - xs - (2.0 * ys / xs) * (dtl - 3.0 * ys)
@@ -377,10 +385,11 @@ def parametric_branch(f_norm: float, dtp: float,
             (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))
         for i in np.flatnonzero(brackets):
             # bisect the bracket on this branch, then polish in 2-D
+            side = float(resid[i])
             lo, hi = _bisect(
-                xs[i], xs[i + 1], 60,
+                float(xs[i]), float(xs[i + 1]), 60,
                 lambda x: (_branch_drive_curve(x, sign, dtp, dtl)[1]
-                           - f_sq) * resid[i] > 0.0)
+                           - f_sq) * side > 0.0)
             x0 = 0.5 * (lo + hi)
             y0 = _branch_drive_curve(x0, sign, dtp, dtl)[0]
             if y0 <= 0.0:

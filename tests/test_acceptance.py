@@ -250,7 +250,6 @@ LANGEVIN_POINTS = [(0.7, 0.4, 0.4), (0.5, -0.5, -0.45), (0.9, 1.0, 0.95),
                    (1.0, 1.2, 1.1), (1.3, 1.7, 1.72)]
 
 
-@pytest.mark.slow
 def test_criterion_07_langevin_cross_check():
     worst = 0.0
     for k, (f, dtp, dtl) in enumerate(LANGEVIN_POINTS):

@@ -124,6 +124,53 @@ class TestLangevin:
         with pytest.raises(oracle.UnstableError):
             oracle.langevin_covariance(m, 0.45, 1000, 100.0, 0.01, seed=1)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_batches": 1}, "n_batches"),
+        ({"n_batches": 2000}, "n_batches"),
+        ({"dt": 0.0}, "dt"),
+        ({"dt": -0.01}, "dt"),
+        ({"t_burn": -5.0}, "t_burn"),
+        ({"m": np.diag([-1.0 + 0j, -1.0, -1.0, -2.0])}, "conjugate"),
+    ], ids=["one_batch", "more_batches_than_samples", "zero_dt",
+            "negative_dt", "negative_burn", "unpaired_m"])
+    def test_bad_input_rejected(self, kwargs, match):
+        args = {"m": build_m(pump_only_branches(0.7, 0.4)[0], 0.4).m,
+                "intrinsic_fraction": 0.45, "n_samples": 1000,
+                "t_end": 100.0, "dt": 0.01, "seed": 1}
+        with pytest.raises(ValueError, match=match):
+            oracle.langevin_covariance(**{**args, **kwargs})
+
+    # burn 129 = 128 + 1 steps and window 300 = 2·128 + 44 steps, so a
+    # single-step chunk and a short remainder chunk both occur; in the
+    # 1 + 2 step case with a coarse step, one wrong step shows at full
+    # weight in both the noise and the state-driven part
+    @pytest.mark.parametrize("dt, n_burn, n_obs",
+                             [(0.05, 129, 300), (0.5, 1, 2)])
+    def test_samples_the_euler_chain_law(self, dt, n_burn, n_obs):
+        s = pump_only_branches(1.0, 1.2)[0]
+        sys_ = build_m(s, 1.1)
+        t_obs = n_obs * dt
+        cov, se = oracle.langevin_covariance(sys_.m, 0.45, 20000,
+                                             (n_burn + n_obs) * dt, dt,
+                                             seed=1, t_burn=n_burn * dt)
+        # exact second moments of (δA, window sum) in the doubled complex
+        # basis, advanced one Euler step at a time
+        t_in, t_loss = sys_.t_in, sys_.t_loss
+        eye, zero = np.eye(4), np.zeros((4, 4))
+        p = np.zeros((8, 8), dtype=complex)
+        for k in range(n_burn + n_obs):
+            obs = float(k >= n_burn)
+            f = np.block([[eye + dt * sys_.m, zero], [obs * t_in * dt * eye,
+                                                      eye]])
+            b = np.vstack([eye, -obs * (t_in / 2.0) * eye])
+            p = f @ p @ f.conj().T + dt * (b @ b.T)
+            p[4:, 4:] += obs * dt * (t_loss ** 2 / 4.0) * eye
+        u_block = np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / math.sqrt(2.0)
+        u = np.kron(np.eye(2), u_block)
+        exact = (u @ p[4:, 4:] @ u.conj().T).real / t_obs
+        z = (cov - exact) / se
+        assert np.max(np.abs(z)) < 3.0
+
 
 class TestBruteForceDuan:
     def test_vacuum_equal_angles(self):
