@@ -6,7 +6,8 @@ files in --out plus a manifest.json carrying the config digest and
 per-file checksums; identical configurations yield byte-identical
 outputs for any --workers value.
 
-Exit codes: 0 success, 1 computation error, 2 configuration error.
+Exit codes: 0 success, 1 computation error, 2 configuration or usage
+error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ __all__ = ["main", "build_parser"]
 
 class ComputationError(Exception):
     """Wraps failures of requested computations (CLI exit code 1)."""
+
+
+class UsageError(Exception):
+    """A command line the subcommand cannot act on (CLI exit code 2)."""
 
 
 def _fmt_cell(value) -> str:
@@ -77,13 +82,13 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
     if args.f_norm is not None:
         for name in ("dtp", "dtl"):
             if getattr(args, name) is None:
-                raise ComputationError(f"--{name} required with --f-norm")
+                raise UsageError(f"--{name} required with --f-norm")
         drive = NormalizedDrive(f_norm=args.f_norm, dtp=args.dtp,
                                 dtl=args.dtl)
         return drive, fluct.DEFAULT_INTRINSIC_FRACTION
     if args.family is None or args.detuning_ghz is None \
             or args.apin_v_per_m is None:
-        raise ComputationError(
+        raise UsageError(
             "provide --family/--L/--detuning-ghz/--apin-v-per-m "
             "or raw --f-norm/--dtp/--dtl")
     fam = cfg.resonator.family(args.family)
@@ -208,9 +213,7 @@ def _witness(args, cfg: RunConfig):
     """Operating state, noise spectrum, σ and witness at the CLI point."""
     drive, intrinsic = _operating_point(args, cfg)
     op = phases.operating_state(drive, intrinsic)
-    spec = fluct.noise_spectrum(op.system, args.omega)
-    sigma = duan_mod.quadrature_covariance(spec)
-    return op, spec, sigma, duan_mod.minimize_duan(sigma)
+    return (op, *op.witness(args.omega))
 
 
 def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> list[Path]:
@@ -280,6 +283,7 @@ def _joint_pump(args, cfg: RunConfig, out: Path, name: str, fams,
         "amplitudes_v_per_m": result.amplitudes,
         "worst_c_min": result.worst_c_min,
         "per_family_c_min": result.per_family_c_min,
+        "slm_weights": disp.composite_pump_weights(result.amplitudes),
         "Ls": ls,
     }
     return _write_json(out, name, payload), sweeps
@@ -328,7 +332,7 @@ def _cmd_best_pump(args, cfg: RunConfig, out: Path) -> list[Path]:
 def _cmd_oracle(args, cfg: RunConfig, out: Path) -> list[Path]:
     if args.oracle_op == "duan-grid":
         if args.sigma_json is None:
-            raise ComputationError("duan-grid requires --sigma-json")
+            raise UsageError("duan-grid requires --sigma-json")
         c_min, (tp, tm) = oracle.brute_force_duan(
             _load_sigma(args.sigma_json), args.grid_n)
         payload = {"c_min": c_min, "theta_plus": tp, "theta_minus": tm,
@@ -357,6 +361,8 @@ def _cmd_oracle(args, cfg: RunConfig, out: Path) -> list[Path]:
             "finite_difference": _complex_matrix(numeric),
         }
     elif args.oracle_op == "langevin":
+        if args.n_samples < 1000:  # the oracle's own floor
+            raise UsageError("--n-samples must be at least 1000")
         sys_ = phases.operating_state(drive, intrinsic).system
         cov, se = oracle.langevin_covariance(
             sys_.m, intrinsic, args.n_samples, args.t_end, args.dt,
@@ -643,6 +649,9 @@ def main(argv: list[str] | None = None) -> int:
         write_manifest(out, config_digest(cfg), written, extra=params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"computation error: {type(exc).__name__}: {exc}",

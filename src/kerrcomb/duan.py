@@ -15,13 +15,19 @@ minimum over the two angles certifies entanglement, and its depth is the
 usable entanglement degree. Vacuum sits exactly on the boundary,
 C_min = 0.
 
-The minimizer is a deterministic coarse grid plus coordinate descent on
-a closed trig form of C; the exhaustive grid scan lives in
+In the closed trig form of C the angles enter through one 2θ₋ and one
+2θ₊ harmonic plus |cos(θ₊ − θ₋)|. Every σ on the operating path comes
+from a pump-only state, whose two harmonics are equal; ``exact_duan``
+then gives the minimum in closed form, and it is what the phase
+classification and the single-point commands use. ``minimize_duan``, a
+deterministic coarse grid plus coordinate descent, serves a general σ
+(``duan --sigma-json``). The exhaustive grid scan lives in
 ``kerrcomb.oracle`` and is used only as a test oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,6 +41,7 @@ __all__ = [
     "quadrature_covariance",
     "duan_value",
     "minimize_duan",
+    "exact_duan",
 ]
 
 # (a, a†, a, a†) -> (X1, Y1, X2, Y2)
@@ -152,3 +159,25 @@ def minimize_duan(sigma: np.ndarray, coarse: int = 64) -> DuanResult:
     # strict negativity up to rounding: vacuum sits exactly on C = 0
     return DuanResult(c_min=float(best), theta_plus=float(tp),
                       theta_minus=float(tm), entangled=bool(best < -1e-12))
+
+
+def exact_duan(sigma: np.ndarray) -> DuanResult:
+    """Exact minimum of C for a σ whose two harmonics are equal.
+
+    With w = r·e^{iα} built from either harmonic's (cos 2θ, sin 2θ)
+    coefficients, C = const + r·cos(2θ₋ − α) + r·cos(2θ₊ − α)
+    − |cos(θ₊ − θ₋)|. Each term reaches its lower bound at
+    θ₊ = θ₋ = (α + π)/2, so C_min = const − 2r − 1 exactly. The
+    harmonics are equal when Var X₁ + Var X₂ = Var Y₁ + Var Y₂ and
+    Cov(X₁, Y₁) + Cov(X₂, Y₂) = 0, as for every pump-only state; any
+    other σ raises ValueError and belongs to ``minimize_duan``.
+    """
+    const, cm2, sm2, cp2, sp2 = _trig_coefficients(sigma)
+    w = complex(cm2, sm2)
+    if abs(w - complex(cp2, sp2)) > 1e-12 * max(1.0, abs(const)):
+        raise ValueError("the two witness harmonics differ; use "
+                         "minimize_duan for a general covariance")
+    best = const - 2.0 * abs(w) - 1.0
+    theta = ((cmath.phase(w) + math.pi) / 2.0) % math.pi
+    return DuanResult(c_min=float(best), theta_plus=theta,
+                      theta_minus=theta, entangled=bool(best < -1e-12))

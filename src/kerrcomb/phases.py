@@ -24,9 +24,10 @@ from enum import Enum
 
 import numpy as np
 
-from .duan import minimize_duan, quadrature_covariance
-from .fluct import (DEFAULT_INTRINSIC_FRACTION, FluctuationSystem, build_m,
-                    max_eigenvalue_real, noise_spectrum)
+from .duan import DuanResult, exact_duan, quadrature_covariance
+from .fluct import (DEFAULT_INTRINSIC_FRACTION, FluctuationSystem,
+                    NoiseSpectrum, build_m, max_eigenvalue_real,
+                    noise_spectrum)
 from .model import ModalFamily, NormalizedDrive, OperatingPoint, normalize
 from .steady import SteadyState, parametric_branch, pump_only_branches
 
@@ -133,6 +134,13 @@ class OperatingState:
             return Phase.MI
         return Phase.ET if c_min < -epsilon_ne else Phase.NE
 
+    def witness(self, omega: float = 0.0,
+                ) -> tuple[NoiseSpectrum, np.ndarray, DuanResult]:
+        """Noise spectrum at ω, its covariance σ and σ's exact witness."""
+        spec = noise_spectrum(self.system, omega)
+        sigma = quadrature_covariance(spec)
+        return spec, sigma, exact_duan(sigma)
+
 
 def operating_state(drive: NormalizedDrive,
                     intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
@@ -153,8 +161,7 @@ def classify_state(op: OperatingState, omega: float = 0.0,
     """Classify an operating state; the witness is skipped on MI."""
     c_min = math.nan
     if not op.is_mi:
-        sigma = quadrature_covariance(noise_spectrum(op.system, omega))
-        c_min = minimize_duan(sigma).c_min
+        c_min = op.witness(omega)[2].c_min
     return PhasePoint(delta_p0=delta_p0, a_pin=a_pin,
                       phase=op.phase(c_min, epsilon_ne), c_min=c_min,
                       n_branches=len(op.roots), max_eig_re=op.max_eig_re,

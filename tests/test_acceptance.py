@@ -332,9 +332,17 @@ def test_criterion_09_ne_broadening():
         grid = sweep(te00, cfg.resonator, L, deltas, amps)
         counts.append(grid.count(Phase.NE))
     assert all(b >= a for a, b in zip(counts, counts[1:])), counts
+    # the NE count is flat (162) for L = 1…6 on these axes; the pair
+    # detuning's drift only shows at larger L, where the region must grow
+    # (178 NE cells at L = 20 and 233 at L = 40)
+    far = [sweep(te00, cfg.resonator, L, deltas, amps).count(Phase.NE)
+           for L in (20, 40)]
+    assert all(n > 162 for n in far), far
+    assert counts[-1] <= far[0] <= far[1], (counts, far)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800.0
-    report(f"9 NE-region non-decreasing in L: {counts} ({elapsed:.0f}s)")
+    report(f"9 NE-region non-decreasing in L: {counts}, then {far} at "
+           f"L = 20, 40 ({elapsed:.0f}s)")
 
 
 @pytest.mark.slow

@@ -5,6 +5,7 @@ import pytest
 
 from kerrcomb import phases, steady
 from kerrcomb.cli import main
+from kerrcomb.dispersion import composite_pump_weights
 from kerrcomb.config import (
     ParseError,
     ValidationError,
@@ -94,11 +95,28 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_computation_error_exit_code(self, tmp_path):
-        # raw mode without the required companion flags
-        code = main(["steady", "--f-norm", "1.0",
-                     "--out", str(tmp_path / "o")])
+    def test_computation_error_exit_code(self, tmp_path, capsys):
+        # a pump-only root above the pair threshold: M is not Hurwitz
+        code = main(["oracle", "langevin", "--f-norm", "2.5", "--dtp", "1",
+                     "--dtl", "3", "--out", str(tmp_path / "o")])
         assert code == 1
+        assert "computation error: UnstableError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["steady"], "provide --family"),
+        (["steady", "--f-norm", "1.0", "--dtp", "1.0"],
+         "--dtl required with --f-norm"),
+        (["oracle", "duan-grid"], "duan-grid requires --sigma-json"),
+        (["oracle", "langevin", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6", "--n-samples", "500"], "--n-samples"),
+    ], ids=["no-point", "f-norm-without-dtl", "duan-grid-without-sigma",
+            "langevin-few-samples"])
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv, problem):
+        code = main([*argv, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and problem in err
+        assert not (tmp_path / "o").exists()
 
     def test_failed_polish_exits_1(self, tmp_path, monkeypatch):
         def stall(*args):
@@ -206,8 +224,35 @@ class TestCli:
         csv_bytes = (diagram / "phase_TE00_L1.csv").read_bytes()
         assert (fig4 / "fig4_TE00_L1.csv").read_bytes() == csv_bytes
         assert (best / "best_pump_TE00_L1.csv").read_bytes() == csv_bytes
-        assert json.loads((best / "best_pump.json").read_text()) == \
+        payload = json.loads((best / "best_pump.json").read_text())
+        assert payload == \
             json.loads((fig7 / "fig7_best_pump.json").read_text())
+        assert payload["slm_weights"] == \
+            composite_pump_weights(payload["amplitudes_v_per_m"])
+
+    def test_single_point_witness_matches_grid_cell(self, tmp_path):
+        # duan at a grid cell reports that cell's c_min bit for bit
+        out = tmp_path / "pd"
+        assert main(["phase-diagram", "--family", "TE00", "--L", "1",
+                     "--grid", "8", "--out", str(out)]) == 0
+        lines = (out / "phase_TE00_L1.csv").read_text().splitlines()[1:]
+        checked = 0
+        for line in lines:
+            delta, amp, phase, c_min = line.split(",")[:4]
+            ghz = float(delta) / 1e9
+            if phase == "MI" or ghz * 1e9 != float(delta):
+                continue
+            point = ["--family", "TE00", "--detuning-ghz", repr(ghz),
+                     "--apin-v-per-m", amp]
+            cell = tmp_path / f"cell{checked}"
+            assert main(["duan", *point, "--out", str(cell)]) == 0
+            data = json.loads((cell / "duan.json").read_text())
+            assert data["c_min"] == float(c_min)
+            assert data["phase"] == phase
+            checked += 1
+            if checked == 4:
+                break
+        assert checked == 4
 
     def test_fig6_sweeps_use_config_truncation_order(self, tmp_path,
                                                       monkeypatch):

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kerrcomb import oracle
+from kerrcomb import oracle, phases
 from kerrcomb.duan import (
     NotSymmetricError,
+    _trig_coefficients,
     duan_value,
+    exact_duan,
     minimize_duan,
     quadrature_covariance,
 )
-from kerrcomb.fluct import NoiseSpectrum, build_m, noise_spectrum
+from kerrcomb.fluct import (NoiseSpectrum, SingularResolventError, build_m,
+                            noise_spectrum)
+from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import Branch, SteadyState, pump_only_branches
 
 VACUUM = 0.5 * np.eye(4)
@@ -50,6 +56,29 @@ def random_physical_sigma(rng) -> np.ndarray:
                        [math.sin(th), math.cos(th)]]
         out = rot @ out @ rot.T
     return out
+
+
+def operating_sigmas(rng, n: int) -> list[np.ndarray]:
+    """σ of the operating state at seeded drives that do not classify MI;
+    every other drive is analysed at a random ω in [0, 3]."""
+    sigmas = []
+    while len(sigmas) < n:
+        dtp = float(rng.uniform(-1.0, 6.0))
+        drive = NormalizedDrive(f_norm=float(rng.uniform(0.05, 3.0)),
+                                dtp=dtp, dtl=dtp + float(rng.uniform(0, 0.2)))
+        omega = float(rng.uniform(0.0, 3.0)) if len(sigmas) % 2 else 0.0
+        op = phases.operating_state(drive)
+        if not op.is_mi:
+            sigmas.append(op.witness(omega)[1])
+    return sigmas
+
+
+def smallest_pt_symplectic_eigenvalue(sigma: np.ndarray) -> float:
+    """ν̃₋ of the partially transposed σ (Y₂ → −Y₂), Simon's criterion."""
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    return float(np.min(np.abs(np.linalg.eigvals(
+        1j * omega @ flip @ sigma @ flip))))
 
 
 class TestQuadratureCovariance:
@@ -171,3 +200,50 @@ class TestMinimizeDuan:
             for eps in (0.01, 0.1, 0.5):
                 noisy = minimize_duan(sigma + eps * np.eye(4)).c_min
                 assert noisy >= base - 1e-9
+
+
+class TestExactDuan:
+    def test_simon_identity_on_operating_states(self, rng):
+        # c_min = 2ν̃₋ − 1: the rotated witness is PPT-tight on the
+        # operating path, checked through an unrelated eigen-solve
+        for sigma in operating_sigmas(rng, 300):
+            nu = smallest_pt_symplectic_eigenvalue(sigma)
+            assert exact_duan(sigma).c_min == pytest.approx(2.0 * nu - 1.0,
+                                                            abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(f=st.floats(0.0, 3.0, exclude_min=True),
+           dtp=st.floats(-1.0, 6.0), dtl=st.floats(-1.0, 6.0),
+           omega=st.floats(0.0, 3.0))
+    def test_pump_only_harmonics_equal(self, f, dtp, dtl, omega):
+        for state in pump_only_branches(f, dtp):
+            try:
+                spec = noise_spectrum(build_m(state, dtl), omega)
+            except SingularResolventError:
+                continue
+            const, cm2, sm2, cp2, sp2 = _trig_coefficients(
+                quadrature_covariance(spec))
+            assert abs(complex(cm2, sm2) - complex(cp2, sp2)) <= \
+                1e-12 * max(1.0, abs(const))
+
+    def test_reported_angles_reach_c_min(self, rng):
+        for sigma in [VACUUM, squeezer_sigma()] + operating_sigmas(rng, 60):
+            res = exact_duan(sigma)
+            assert res.theta_plus == res.theta_minus
+            assert 0.0 <= res.theta_plus < math.pi
+            value = duan_value(sigma, res.theta_plus, res.theta_minus)
+            assert value == pytest.approx(res.c_min, abs=1e-12)
+
+    def test_agrees_with_descent(self, rng):
+        sigmas = [VACUUM, squeezer_sigma()] + operating_sigmas(rng, 60)
+        sigmas += [random_physical_sigma(rng) for _ in range(40)]
+        for sigma in sigmas:
+            exact, descent = exact_duan(sigma), minimize_duan(sigma)
+            assert exact.c_min == pytest.approx(descent.c_min, abs=1e-9)
+            assert exact.c_min <= descent.c_min + 1e-14
+            assert exact.entangled == descent.entangled
+
+    def test_unequal_harmonics_rejected(self):
+        # one locally squeezed mode: Var X₁ + Var X₂ ≠ Var Y₁ + Var Y₂
+        with pytest.raises(ValueError, match="harmonics differ"):
+            exact_duan(np.diag([0.25, 1.0, 0.5, 0.5]))
