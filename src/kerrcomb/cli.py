@@ -23,7 +23,8 @@ import numpy as np
 from . import dispersion as disp
 from . import duan as duan_mod
 from . import fluct, oracle, phases, steady
-from .config import ConfigError, RunConfig, config_digest, load_config
+from .config import (ConfigError, RunConfig, config_digest, load_config,
+                     sweep_axis_problems)
 from .manifest import write_manifest, write_output
 from .model import NormalizedDrive, OperatingPoint, normalize
 from .svg import heatmap_svg, line_plot_svg
@@ -101,18 +102,22 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
 
 
 def _axes_from_args(args, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    sd = cfg.sweep_defaults
-    delta_lo = (args.delta_min_ghz if args.delta_min_ghz is not None
-                else sd.get("delta_min_ghz", -0.1)) * 1e9
-    delta_hi = (args.delta_max_ghz if args.delta_max_ghz is not None
-                else sd.get("delta_max_ghz", 0.8)) * 1e9
-    amp_lo = (args.amp_min if args.amp_min is not None
-              else sd.get("amp_min_v_per_m", 2e5))
-    amp_hi = (args.amp_max if args.amp_max is not None
-              else sd.get("amp_max_v_per_m", 2.8e7))
-    n = args.grid if args.grid is not None else int(sd.get("grid", 64))
-    return (np.linspace(delta_lo, delta_hi, n),
-            np.linspace(amp_lo, amp_hi, n))
+    """Sweep axes from the flags, else the config; checked before use."""
+    axes = dict(cfg.sweep_defaults)
+    for key, flag in (("delta_min_ghz", args.delta_min_ghz),
+                      ("delta_max_ghz", args.delta_max_ghz),
+                      ("amp_min_v_per_m", args.amp_min),
+                      ("amp_max_v_per_m", args.amp_max),
+                      ("grid", args.grid)):
+        if flag is not None:
+            axes[key] = flag
+    problems = sweep_axis_problems(axes)
+    if problems:
+        raise UsageError("; ".join(problems))
+    n = axes["grid"]
+    return (np.linspace(axes["delta_min_ghz"] * 1e9,
+                        axes["delta_max_ghz"] * 1e9, n),
+            np.linspace(axes["amp_min_v_per_m"], axes["amp_max_v_per_m"], n))
 
 
 def _load_sigma(path: str) -> np.ndarray:
@@ -296,10 +301,8 @@ def _grid_svg(grid: phases.SweepGrid, cfg: RunConfig, title: str) -> str:
     return heatmap_svg(
         cm, mi, x_axis=grid.amplitude_axis / 1e9,
         y_axis=grid.delta_axis / 1e9,
-        bucket_edges=hm.get("bucket_edges", [-0.4, -0.2, -1e-3, 0.0]),
-        bucket_colors=hm.get("bucket_colors",
-                             ["#46039f", "#bd3786", "#fdb42f", "#c8e9a0"]),
-        mi_color=hm.get("mi_color", "#bbbbbb"),
+        bucket_edges=hm["bucket_edges"], bucket_colors=hm["bucket_colors"],
+        mi_color=hm["mi_color"],
         config_digest=config_digest(cfg),
         x_label="pump amplitude (1e9 V/m)", y_label="pump detuning (GHz)",
         title=title)

@@ -26,6 +26,7 @@ __all__ = [
     "Tolerances",
     "RunConfig",
     "load_config",
+    "sweep_axis_problems",
     "default_config_path",
     "serialize_config",
     "config_digest",
@@ -39,9 +40,14 @@ _FAMILY_KEYS = {
 _RESONATOR_KEYS = {"radius_um", "n2_m2_per_w", "n0", "geometry", "families"}
 _TOP_KEYS = {"resonator", "tolerances", "heatmap", "sweep_defaults"}
 _TOLERANCE_KEYS = {"epsilon_ne", "mi_margin_cells", "truncation_order"}
-_SWEEP_KEYS = {"delta_min_ghz", "delta_max_ghz", "amp_min_v_per_m",
-               "amp_max_v_per_m", "grid"}
-_HEATMAP_KEYS = {"bucket_edges", "bucket_colors", "mi_color"}
+# the keys sweep_defaults and heatmap accept, and what each falls back to
+_SWEEP_DEFAULTS = {"delta_min_ghz": -0.1, "delta_max_ghz": 0.8,
+                   "amp_min_v_per_m": 2e5, "amp_max_v_per_m": 2.8e7,
+                   "grid": 64}
+_HEATMAP_DEFAULTS = {"bucket_edges": [-0.4, -0.2, -1e-3, 0.0],
+                     "bucket_colors": ["#46039f", "#bd3786", "#fdb42f",
+                                       "#c8e9a0"],
+                     "mi_color": "#bbbbbb"}
 
 
 class ConfigError(Exception):
@@ -71,7 +77,11 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: the resonator plus knobs and cosmetics."""
+    """Everything a run needs: the resonator plus knobs and cosmetics.
+
+    heatmap and sweep_defaults hold every key they accept: the file's
+    value, else the default.
+    """
 
     resonator: ResonatorSpec
     tolerances: Tolerances
@@ -90,6 +100,45 @@ def _check_keys(found: dict, allowed: set[str], where: str,
     unknown = set(found) - allowed
     if unknown:
         problems.append(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def sweep_axis_problems(axes: dict) -> list[str]:
+    """Every mistake in a full set of sweep axes, as sweep_defaults has."""
+    problems = []
+    grid = axes["grid"]
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+        problems.append(f"grid must be an integer >= 1, got {grid!r}")
+    for lo, hi in (("delta_min_ghz", "delta_max_ghz"),
+                   ("amp_min_v_per_m", "amp_max_v_per_m")):
+        bad = [k for k in (lo, hi) if not _is_number(axes[k])]
+        problems += [f"{k} must be a finite number, got {axes[k]!r}"
+                     for k in bad]
+        if not bad and not axes[lo] < axes[hi]:
+            problems.append(f"{lo} {axes[lo]!r} must be below "
+                            f"{hi} {axes[hi]!r}")
+    amp = axes["amp_min_v_per_m"]
+    if _is_number(amp) and amp < 0:
+        problems.append(f"amp_min_v_per_m must be >= 0, got {amp!r}")
+    return problems
+
+
+def _heatmap_problems(heatmap: dict) -> list[str]:
+    edges, colors = heatmap["bucket_edges"], heatmap["bucket_colors"]
+    if not (isinstance(edges, list) and edges
+            and all(_is_number(e) for e in edges)):
+        return [f"bucket_edges must be a list of numbers, got {edges!r}"]
+    problems = []
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        problems.append(f"bucket_edges must ascend, got {edges!r}")
+    if not isinstance(colors, list) or len(colors) != len(edges):
+        problems.append(f"bucket_colors needs one color per edge "
+                        f"({len(edges)}), got {colors!r}")
+    return problems
 
 
 def _build_family(raw: dict, problems: list[str]) -> ModalFamily | None:
@@ -186,17 +235,21 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     except (ValidationError, TypeError) as exc:
         problems.append(f"tolerances: {exc}")
 
-    _check_keys(raw.get("heatmap", {}), _HEATMAP_KEYS, "heatmap", problems)
-    _check_keys(raw.get("sweep_defaults", {}), _SWEEP_KEYS, "sweep_defaults",
-                problems)
+    if not all(isinstance(raw.get(k, {}), dict)
+               for k in ("heatmap", "sweep_defaults")):
+        raise ValidationError("heatmap and sweep_defaults must be objects")
+    heatmap = {**_HEATMAP_DEFAULTS, **raw.get("heatmap", {})}
+    sweep = {**_SWEEP_DEFAULTS, **raw.get("sweep_defaults", {})}
+    _check_keys(heatmap, set(_HEATMAP_DEFAULTS), "heatmap", problems)
+    _check_keys(sweep, set(_SWEEP_DEFAULTS), "sweep_defaults", problems)
+    problems += [f"heatmap: {p}" for p in _heatmap_problems(heatmap)]
+    problems += [f"sweep_defaults: {p}" for p in sweep_axis_problems(sweep)]
 
     if problems:
         raise ValidationError("; ".join(problems))
     assert resonator is not None and tolerances is not None
     return RunConfig(resonator=resonator, tolerances=tolerances,
-                     heatmap=dict(raw.get("heatmap", {})),
-                     sweep_defaults=dict(raw.get("sweep_defaults", {})),
-                     raw=raw)
+                     heatmap=heatmap, sweep_defaults=sweep, raw=raw)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -56,6 +56,9 @@ _V_YMINUS = np.array([0.0, 1.0, 0.0, -1.0]) / math.sqrt(2.0)
 _V_XPLUS = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
 _V_YPLUS = np.array([0.0, 1.0, 0.0, 1.0]) / math.sqrt(2.0)
 
+_SYMMETRY_TOL = 1e-6  # largest symmetrization residual σ may carry
+_COARSE = 64          # grid points per angle seeding minimize_duan
+
 
 class NotSymmetricError(ValueError):
     """Covariance symmetrization residual too large (upstream bug)."""
@@ -71,7 +74,7 @@ class DuanResult:
     entangled: bool
 
 
-def quadrature_covariance(spec: NoiseSpectrum, tol: float = 1e-6) -> np.ndarray:
+def quadrature_covariance(spec: NoiseSpectrum) -> np.ndarray:
     """Symmetrized quadrature covariance σ over (X₁, Y₁, X₂, Y₂).
 
     Builds σ_ab = ½⟨{R_a(ω), R_b(−ω)}⟩ from the two one-sided spectra,
@@ -84,9 +87,10 @@ def quadrature_covariance(spec: NoiseSpectrum, tol: float = 1e-6) -> np.ndarray:
     sigma_c = 0.5 * (g_plus + g_minus.T)
     resid = max(np.max(np.abs(sigma_c.imag)),
                 np.max(np.abs(sigma_c - sigma_c.T)))
-    if resid > tol:
+    if resid > _SYMMETRY_TOL:
         raise NotSymmetricError(
-            f"covariance symmetrization residual {resid:.3e} exceeds {tol:g}")
+            f"covariance symmetrization residual {resid:.3e} exceeds "
+            f"{_SYMMETRY_TOL:g}")
     sigma = sigma_c.real
     return 0.5 * (sigma + sigma.T)
 
@@ -124,7 +128,7 @@ def duan_value(sigma: np.ndarray, theta_plus: float,
                  - abs(math.cos(theta_plus - theta_minus)))
 
 
-def minimize_duan(sigma: np.ndarray, coarse: int = 64) -> DuanResult:
+def minimize_duan(sigma: np.ndarray) -> DuanResult:
     """Global minimum of C over both angles.
 
     A coarse grid over [0, 2π)² seeds coordinate descent with a halving
@@ -132,7 +136,7 @@ def minimize_duan(sigma: np.ndarray, coarse: int = 64) -> DuanResult:
     harmonics and |cos Δθ| so the coarse grid cannot miss the basin.
     """
     coeffs = _trig_coefficients(sigma)
-    thetas = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, _COARSE, endpoint=False)
     tp_grid, tm_grid = np.meshgrid(thetas, thetas, indexing="ij")
     const, cm2, sm2, cp2, sp2 = coeffs
     values = (const + cm2 * np.cos(2 * tm_grid) + sm2 * np.sin(2 * tm_grid)
@@ -141,7 +145,7 @@ def minimize_duan(sigma: np.ndarray, coarse: int = 64) -> DuanResult:
     i, j = np.unravel_index(int(np.argmin(values)), values.shape)
     tp, tm = float(thetas[i]), float(thetas[j])
     best = _value_from_coeffs(coeffs, tp, tm)
-    step = 2.0 * math.pi / coarse
+    step = 2.0 * math.pi / _COARSE
     while step > 1e-6:
         improved = False
         for dtp_, dtm_ in ((step, 0.0), (-step, 0.0), (0.0, step),

@@ -50,7 +50,6 @@ __all__ = [
     "noise_spectrum",
     "intracavity_pair_photons",
     "max_eigenvalue_real",
-    "parametric_mode_stable",
 ]
 
 _EYE4 = np.eye(4)
@@ -63,10 +62,6 @@ C_VAC.setflags(write=False)
 
 # μ/Γ used when a drive comes without a modal family (raw normalized input)
 DEFAULT_INTRINSIC_FRACTION = 0.45
-
-# direction of the free signal/idler phase split (exact null mode of M
-# on the parametric branch)
-_GOLDSTONE = np.array([1.0, -1.0, -1.0, 1.0]) / 2.0
 
 
 class SingularResolventError(np.linalg.LinAlgError):
@@ -135,23 +130,6 @@ def build_m(state: SteadyState, dtl: float,
 
 def max_eigenvalue_real(sys: FluctuationSystem) -> float:
     return float(np.max(np.linalg.eigvals(sys.m).real))
-
-
-def parametric_mode_stable(sys: FluctuationSystem,
-                           tol: float = 1e-7) -> bool:
-    """Stability of a parametric state, ignoring the exact null mode.
-
-    The free phase split between signal and idler contributes one
-    eigenvalue at exactly zero; the state is stable when every other
-    eigenvalue has a negative real part.
-    """
-    eigs = np.linalg.eigvals(sys.m)
-    idx = int(np.argmin(np.abs(eigs)))
-    if abs(eigs[idx]) > tol:
-        # no null mode present, judge all four
-        return bool(np.max(eigs.real) < 0.0)
-    rest = np.delete(eigs, idx)
-    return bool(np.max(rest.real) < 0.0)
 
 
 def noise_spectrum(sys: FluctuationSystem, omega: float) -> NoiseSpectrum:

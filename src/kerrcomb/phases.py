@@ -71,8 +71,6 @@ class PhasePoint:
     at the lowest stable root.
     """
 
-    delta_p0: float      # Hz
-    a_pin: float         # V/m
     phase: Phase
     c_min: float
     n_branches: int
@@ -156,14 +154,12 @@ def operating_state(drive: NormalizedDrive,
 
 
 def classify_state(op: OperatingState, omega: float = 0.0,
-                   epsilon_ne: float = EPSILON_NE, delta_p0: float = 0.0,
-                   a_pin: float = 0.0) -> PhasePoint:
+                   epsilon_ne: float = EPSILON_NE) -> PhasePoint:
     """Classify an operating state; the witness is skipped on MI."""
     c_min = math.nan
     if not op.is_mi:
         c_min = op.witness(omega)[2].c_min
-    return PhasePoint(delta_p0=delta_p0, a_pin=a_pin,
-                      phase=op.phase(c_min, epsilon_ne), c_min=c_min,
+    return PhasePoint(phase=op.phase(c_min, epsilon_ne), c_min=c_min,
                       n_branches=len(op.roots), max_eig_re=op.max_eig_re,
                       has_parametric=bool(op.parametric))
 
@@ -171,16 +167,14 @@ def classify_state(op: OperatingState, omega: float = 0.0,
 def classify_drive(drive: NormalizedDrive, omega: float = 0.0,
                    epsilon_ne: float = EPSILON_NE,
                    intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
-                   delta_p0: float = 0.0,
-                   a_pin: float = 0.0) -> PhasePoint:
+                   ) -> PhasePoint:
     """Classify a normalized drive point (the sweep work-horse)."""
     try:
         return classify_state(operating_state(drive, intrinsic_fraction),
-                              omega=omega, epsilon_ne=epsilon_ne,
-                              delta_p0=delta_p0, a_pin=a_pin)
+                              omega=omega, epsilon_ne=epsilon_ne)
     except Exception as exc:  # per-cell marker, the grid must complete
-        return PhasePoint(delta_p0=delta_p0, a_pin=a_pin, phase=Phase.MI,
-                          c_min=math.nan, n_branches=0, max_eig_re=math.nan,
+        return PhasePoint(phase=Phase.MI, c_min=math.nan, n_branches=0,
+                          max_eig_re=math.nan,
                           error=f"{type(exc).__name__}: {exc}")
 
 
@@ -190,8 +184,7 @@ def classify_point(op: OperatingPoint, resonator, omega: float = 0.0,
     """Classify a physical operating point."""
     drive = normalize(op, resonator, truncation_order)
     return classify_drive(drive, omega=omega, epsilon_ne=epsilon_ne,
-                          intrinsic_fraction=op.family.intrinsic_fraction,
-                          delta_p0=op.delta_p0, a_pin=op.a_pin)
+                          intrinsic_fraction=op.family.intrinsic_fraction)
 
 
 def _sweep_row(args) -> tuple[int, list[PhasePoint]]:

@@ -20,13 +20,22 @@ this system from the mean-field equations live in docs/derivation.md.
 The pair line forces x ≥ 1 on the nontrivial branch, and y > 0 is only
 possible for Δ̃_L > √3, which is why instability and oscillation set in
 past that detuning.
+
+Since a₋ = a₊ on every parametric state, the three-mode linearization
+splits exactly under the signal/idler exchange. The antisymmetric pair
+mode has eigenvalues {0, −2}, the 0 being the free phase split; the
+pump couples only to the symmetric mode. A root is stable when
+u = Δ̃_L − 2x − 3y < 0 (the frozen-pump pair gate, whose symmetric
+eigenvalues are −1 ± √(1 + 12yu)) and one 4×4 block over the pump and
+the symmetric mode is Hurwitz.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -40,8 +49,6 @@ __all__ = [
     "parametric_branch",
     "threshold",
     "bistability_turning_points",
-    "full_jacobian",
-    "fully_stable",
 ]
 
 _RESIDUAL_TOL = 1e-9
@@ -194,73 +201,24 @@ def bistability_turning_points(dtp: float) -> tuple[tuple[float, float],
     return out[1], out[0]
 
 
-def full_jacobian(state: SteadyState, dtp: float, dtl: float) -> np.ndarray:
-    """Classical 6×6 Jacobian of the three-mode system at a steady state.
+def _symmetric_block(x: float, y: float, phi: float, dtp: float,
+                     dtl: float) -> np.ndarray:
+    """Three-mode linearization over (δa_p, δa_p†, δS, δS†).
 
-    Doubled basis (a_p, a_p†, a₋, a₋†, a₊, a₊†) in the drive-phase-zero
-    gauge. The pair-only 4×4 fluctuation matrix treats the pump as
-    frozen and misses pump-mediated instabilities of oscillating
-    states; branch stability uses this full linearization instead.
+    S = (δa₋ + δa₊)/√2, in the gauge a_p = √x, a₋ = a₊ = √y·h with
+    h = e^{iφ/2}; the antisymmetric (δa₋ − δa₊)/√2 decouples exactly.
     """
-    theta_p = -state.psi
-    theta_pair = 0.5 * (state.phi + 2.0 * theta_p)
-    a_p = math.sqrt(state.ap2) * np.exp(1j * theta_p)
-    a_m = math.sqrt(state.a2) * np.exp(1j * theta_pair)
-    a_q = a_m
-
-    def pump_row(ap, apc, am, amc, aq, aqc):
-        return (
-            -(1.0 + 1j * dtp) + 1j * (2 * apc * ap + 2 * amc * am
-                                      + 2 * aqc * aq),
-            1j * ap * ap + 2j * am * aq,
-            2j * amc * ap + 2j * apc * aq,
-            2j * am * ap,
-            2j * aqc * ap + 2j * apc * am,
-            2j * aq * ap,
-        )
-
-    def pair_row(ap, apc, am, amc, aq, aqc, det):
-        # derivative of the a_m equation; the a_q row follows by swap
-        return (
-            2j * apc * am + 2j * ap * aqc,
-            2j * ap * am,
-            -(1.0 + 1j * det) + 1j * (2 * apc * ap + 2 * amc * am
-                                      + 2 * aqc * aq),
-            1j * am * am,
-            2j * aqc * am,
-            2j * aq * am + 1j * ap * ap,
-        )
-
-    apc, amc, aqc = np.conj(a_p), np.conj(a_m), np.conj(a_q)
-    rp = pump_row(a_p, apc, a_m, amc, a_q, aqc)
-    rm = pair_row(a_p, apc, a_m, amc, a_q, aqc, dtl)
-    rq_src = pair_row(a_p, apc, a_q, aqc, a_m, amc, dtl)
-    # undo the m<->q argument swap in the column ordering
-    rq = (rq_src[0], rq_src[1], rq_src[4], rq_src[5], rq_src[2], rq_src[3])
-    jac = np.zeros((6, 6), dtype=complex)
-    swap = (1, 0, 3, 2, 5, 4)
-    for row, vals in ((0, rp), (2, rm), (4, rq)):
-        jac[row] = vals
-    for row in (0, 2, 4):
-        for col in range(6):
-            jac[row + 1, swap[col]] = np.conj(jac[row, col])
-    return jac
-
-
-def fully_stable(state: SteadyState, dtp: float, dtl: float,
-                 tol: float = 1e-7) -> bool:
-    """True stability under the complete three-mode linearization.
-
-    Parametric states carry one exact zero mode (free signal/idler
-    phase split); it is discarded before checking that everything else
-    decays.
-    """
-    eigs = np.linalg.eigvals(full_jacobian(state, dtp, dtl))
-    if state.branch is Branch.PARAMETRIC and state.a2 > 0:
-        idx = int(np.argmin(np.abs(eigs)))
-        if abs(eigs[idx]) < tol:
-            eigs = np.delete(eigs, idx)
-    return bool(np.max(eigs.real) < 0.0)
+    h = cmath.exp(0.5j * phi)
+    g = 2.0 * math.sqrt(2.0 * x * y)
+    h2 = h * h
+    pump = (-1.0 + 1j * (2.0 * x + 4.0 * y - dtp), 1j * (x + 2.0 * y * h2),
+            2j * g * h.real, 1j * g * h)
+    pair = (2j * g * h.real, 1j * g * h,
+            -1.0 + 1j * (2.0 * x + 6.0 * y - dtl), 1j * (x + 3.0 * y * h2))
+    block = np.array([pump, pump, pair, pair])
+    # daggered rows: conjugate, with the p/p† and S/S† columns swapped
+    block[1::2] = np.conj(block[0::2][:, [1, 0, 3, 2]])
+    return block
 
 
 def _pair_system(x: float, y: float, f_norm: float, dtp: float,
@@ -350,15 +308,14 @@ def parametric_branch(f_norm: float, dtp: float,
     The gain-balance line x² = 1 + (Δ̃_L − 2x − 3y)² is swept in x on
     both square-root branches; crossings of the drive equation are
     bracketed on the sweep and Newton polished; a polish that does not
-    converge raises NoConvergenceError. Stability comes from the
-    eigenvalues of the fluctuation matrix (the exactly-zero mode along
-    the free signal/idler phase split is disregarded).
+    converge raises NoConvergenceError. A root is stable when u < 0 and
+    its exchange-symmetric block is Hurwitz; the antisymmetric sector,
+    free phase split included, is {0, −2} for every root.
     """
     if f_norm <= 0:
         return []
     if dtl <= math.sqrt(3.0):
         return []  # y > 0 requires dtl > sqrt(3)
-    from .fluct import build_m, parametric_mode_stable
 
     # y > 0 confines x between roots of 3x² − 4·dtl·x + (dtl² + 1):
     # branch u = +√(x²−1) lives on [1, x_dn), branch u = −√(x²−1) on
@@ -406,19 +363,18 @@ def parametric_branch(f_norm: float, dtp: float,
 
     states = []
     for x, y in deduped:
-        phi = math.atan2(1.0 / x, (dtl - 3.0 * y - 2.0 * x) / x)
+        u = dtl - 3.0 * y - 2.0 * x
+        phi = math.atan2(1.0 / x, u / x)
         sin_psi = (math.sqrt(x) / f_norm) * (
             dtp - x - (2.0 * y / x) * (dtl - 3.0 * y))
         cos_psi = (math.sqrt(x) / f_norm) * (1.0 + 2.0 * y / x)
-        state = SteadyState(ap2=x, a2=y, phi=phi,
-                            psi=math.atan2(sin_psi, cos_psi),
-                            branch=Branch.PARAMETRIC, stable=False)
-        # pair-subspace stability (quantum-side gate) plus the full
-        # three-mode linearization: the frozen-pump matrix alone misses
-        # pump-mediated instabilities of oscillating states
-        stable = (parametric_mode_stable(build_m(state, dtl))
-                  and fully_stable(state, dtp, dtl))
-        states.append(replace(state, stable=stable))
+        # u < 0 is the frozen-pump pair gate, −1 ± √(1 + 12yu) on the
+        # symmetric sector; the block adds the pump's own dynamics
+        stable = u < 0.0 and bool(np.max(np.linalg.eigvals(
+            _symmetric_block(x, y, phi, dtp, dtl)).real) < 0.0)
+        states.append(SteadyState(ap2=x, a2=y, phi=phi,
+                                  psi=math.atan2(sin_psi, cos_psi),
+                                  branch=Branch.PARAMETRIC, stable=stable))
     return states
 
 

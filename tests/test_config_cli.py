@@ -118,6 +118,46 @@ class TestCli:
         assert err.startswith("usage error:") and problem in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key, value, problem", [
+        ("sweep_defaults", "grid", 0, "grid must be an integer >= 1"),
+        ("sweep_defaults", "grid", "x", "grid must be an integer >= 1"),
+        ("sweep_defaults", "delta_min_ghz", 0.9, "must be below"),
+        ("sweep_defaults", "amp_min_v_per_m", -1.0, "must be >= 0"),
+        ("heatmap", "bucket_edges", [-0.5, -0.6, 0.0], "must ascend"),
+        ("heatmap", "bucket_colors", ["#000000"], "one color per edge"),
+    ], ids=["grid-zero", "grid-not-int", "delta-min-above-max",
+            "negative-amp-min", "edges-descend", "too-few-colors"])
+    def test_config_mistake_exits_2_before_sweep(self, tmp_path, capsys,
+                                                 section, key, value,
+                                                 problem):
+        raw = json.loads(default_config_path().read_text())
+        raw[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code = main(["--config", str(path), "phase-diagram", "--family",
+                     "TE00", "--grid", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}:") and problem in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--grid", "0"], "grid must be an integer >= 1"),
+        (["--delta-min-ghz", "0.5", "--delta-max-ghz", "0.1"],
+         "must be below"),
+        (["--amp-min", "2e7", "--amp-max", "1e7"], "must be below"),
+        (["--amp-min", "-1"], "must be >= 0"),
+    ], ids=["grid-zero", "delta-min-above-max", "amp-min-above-max",
+            "negative-amp-min"])
+    def test_axis_flag_mistake_exits_2_before_sweep(self, tmp_path, capsys,
+                                                    flags, problem):
+        code = main(["phase-diagram", "--family", "TE00", *flags,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and problem in err
+        assert not (tmp_path / "o").exists()
+
     def test_failed_polish_exits_1(self, tmp_path, monkeypatch):
         def stall(*args):
             raise steady.NoConvergenceError("stalled")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from kerrcomb.duan import (
     minimize_duan,
     quadrature_covariance,
 )
-from kerrcomb.fluct import (NoiseSpectrum, SingularResolventError, build_m,
-                            noise_spectrum)
+from kerrcomb.fluct import (C_VAC, NoiseSpectrum, SingularResolventError,
+                            build_m, noise_spectrum)
 from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import Branch, SteadyState, pump_only_branches
 
@@ -247,3 +248,35 @@ class TestExactDuan:
         # one locally squeezed mode: Var X₁ + Var X₂ ≠ Var Y₁ + Var Y₂
         with pytest.raises(ValueError, match="harmonics differ"):
             exact_duan(np.diag([0.25, 1.0, 0.5, 0.5]))
+
+
+class TestWitnessProperties:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(f=st.floats(0.0, 3.0, exclude_min=True),
+           dtp=st.floats(-1.0, 6.0), dtl=st.floats(-1.0, 6.0),
+           omega=st.floats(0.0, 3.0), theta=st.floats(-math.pi, math.pi))
+    def test_below_threshold_phase_is_gauge(self, f, dtp, dtl, omega,
+                                            theta):
+        # with no pair field φ only rotates the pair basis, and the
+        # witness is minimized over rotations
+        for state in pump_only_branches(f, dtp):
+            try:
+                c = [exact_duan(quadrature_covariance(noise_spectrum(
+                    build_m(s, dtl), omega))).c_min
+                     for s in (state, replace(state, phi=theta))]
+            except SingularResolventError:
+                continue
+            assert abs(c[1] - c[0]) <= 1e-10 * max(1.0, abs(c[0]))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(omega=st.floats(-5.0, 5.0), dtl=st.floats(-6.0, 6.0),
+           intrinsic=st.floats(0.0, 1.0))
+    def test_vacuum_identities(self, omega, dtl, intrinsic):
+        sys_ = build_m(empty_state(), dtl, intrinsic_fraction=intrinsic)
+        spec = noise_spectrum(sys_, omega)
+        assert np.max(np.abs(spec.s - C_VAC)) < 1e-12
+        assert np.max(np.abs(spec.s_minus - C_VAC)) < 1e-12
+        sigma = quadrature_covariance(spec)
+        assert np.max(np.abs(sigma - VACUUM)) < 1e-12
+        result = exact_duan(sigma)
+        assert abs(result.c_min) < 1e-12 and not result.entangled

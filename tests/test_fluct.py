@@ -12,7 +12,6 @@ from kerrcomb.fluct import (
     intracavity_pair_photons,
     max_eigenvalue_real,
     noise_spectrum,
-    parametric_mode_stable,
 )
 from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import (
@@ -97,8 +96,9 @@ class TestBuildM:
         for s in stable:
             sys_ = build_m(s, 2.4)
             eigs = np.linalg.eigvals(sys_.m)
-            assert np.min(np.abs(eigs)) < 1e-8  # exact phase-split mode
-            assert parametric_mode_stable(sys_)
+            null = int(np.argmin(np.abs(eigs)))
+            assert abs(eigs[null]) < 1e-8  # exact phase-split mode
+            assert np.max(np.delete(eigs, null).real) < 0.0
 
 
 class TestNoiseSpectrum:

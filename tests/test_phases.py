@@ -79,8 +79,7 @@ class TestClassify:
         direct = classify_point(op, resonator)
         drive = normalize(op, resonator)
         via_drive = classify_drive(
-            drive, intrinsic_fraction=te00.intrinsic_fraction,
-            delta_p0=op.delta_p0, a_pin=op.a_pin)
+            drive, intrinsic_fraction=te00.intrinsic_fraction)
         assert direct.phase == via_drive.phase
         assert direct.c_min == via_drive.c_min
         assert direct.max_eig_re == via_drive.max_eig_re
@@ -159,11 +158,10 @@ def synthetic_grid(rng, label, L, deltas, amps):
     c_min = rng.uniform(-0.6, 0.2, (len(deltas), len(amps)))
     c_min[rng.random(c_min.shape) < 0.04] = math.nan
     points = tuple(tuple(
-        PhasePoint(delta_p0=float(d), a_pin=float(a),
-                   phase=Phase.MI if math.isnan(c) else
+        PhasePoint(phase=Phase.MI if math.isnan(c) else
                    Phase.ET if c < -1e-3 else Phase.NE,
                    c_min=float(c), n_branches=1, max_eig_re=-1.0)
-        for a, c in zip(amps, row)) for d, row in zip(deltas, c_min))
+        for c in row) for row in c_min)
     return SweepGrid(family=label, L=L, delta_axis=deltas,
                      amplitude_axis=amps, points=points)
 

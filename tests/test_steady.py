@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrcomb import oracle, steady
+from kerrcomb.fluct import build_m
 from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import (
     SteadyState,
@@ -38,7 +41,7 @@ def ode_residual(state: SteadyState, f, dtp, dtl) -> float:
 
 def _fd_full_jacobian(state, f, dtp, dtl, h=1e-6):
     """Central differences of the oracle vector field in the doubled
-    six-dimensional space; independent check of steady.full_jacobian."""
+    six-dimensional space; independent check of the symmetric block."""
     base = amplitudes_of(state)
 
     def field(d):
@@ -63,6 +66,12 @@ def _fd_full_jacobian(state, f, dtp, dtl, h=1e-6):
         e_k[k] = h
         jac[:, k] = (field(e_k) - field(-e_k)) / (2.0 * h)
     return jac
+
+
+def _max_re_without_null(m: np.ndarray) -> float:
+    """Largest real part once the eigenvalue nearest zero is dropped."""
+    eigs = np.linalg.eigvals(m)
+    return float(np.max(np.delete(eigs, np.argmin(np.abs(eigs))).real))
 
 
 class TestPumpOnly:
@@ -178,26 +187,44 @@ class TestParametric:
             for b in sols[i + 1:]:
                 assert max(abs(a.ap2 - b.ap2), abs(a.a2 - b.a2)) >= 1e-7
 
-    def test_stability_split(self):
-        # two gates: the positive gain-mismatch branch is always
-        # pair-unstable, and surviving roots must also pass the full
-        # three-mode linearization (pump breathing can still kill them)
-        from kerrcomb.fluct import build_m, parametric_mode_stable
-        from kerrcomb.steady import fully_stable
+    def test_stability_split(self, rng):
+        # references rebuilt from the raw vector field: the frozen-pump
+        # pair gate and the full 6×6 three-mode linearization, each with
+        # its eigenvalue nearest zero (the free phase split) dropped
+        drives = [(1.6, 2.4, 2.4)] + [
+            (float(rng.uniform(0.0, 4.0)) or 1.0, float(rng.uniform(-1, 6)),
+             float(rng.uniform(1.5, 7.0))) for _ in range(400)]
+        checked = skipped = stable = 0
+        for f, dtp, dtl in drives:
+            for s in parametric_branch(f, dtp, dtl):
+                pair = _max_re_without_null(build_m(s, dtl).m)
+                full = _max_re_without_null(_fd_full_jacobian(s, f, dtp, dtl))
+                if pair >= 1e-5 or full >= 1e-5:
+                    expected = False
+                elif pair <= -1e-5 and full <= -1e-5:
+                    expected = True
+                else:
+                    skipped += 1
+                    continue
+                assert s.stable == expected, (f, dtp, dtl, s)
+                checked += 1
+                stable += expected
+        print(f"stability split: {checked} roots checked, {stable} stable, "
+              f"{skipped} skipped within 1e-5 of marginal")
+        assert checked > 100 and 10 < stable < checked
+        assert skipped <= checked // 50
 
-        sols = parametric_branch(1.6, 2.4, 2.4)
-        assert any(s.stable for s in sols)
-        for s in sols:
-            u = 2.4 - 2 * s.ap2 - 3 * s.a2
-            pair_gate = parametric_mode_stable(build_m(s, 2.4))
-            assert pair_gate == (u < 0)
-            assert s.stable == (pair_gate and fully_stable(s, 2.4, 2.4))
-            if s.stable:
-                assert u < 0
-
-    def test_full_jacobian_matches_finite_differences(self, rng):
-        from kerrcomb.steady import full_jacobian
-
+    def test_symmetric_block_matches_finite_differences(self, rng):
+        # (p, p†, S, S†, A, A†) with S, A = (δa₋ ± δa₊)/√2 over the FD
+        # basis (p, p†, a₋, a₋†, a₊, a₊†); psi = 0 puts a_p on the real
+        # axis, the gauge of the block
+        r = 1.0 / math.sqrt(2.0)
+        v = np.array([[1, 0, 0, 0, 0, 0],
+                      [0, 1, 0, 0, 0, 0],
+                      [0, 0, r, 0, r, 0],
+                      [0, 0, 0, r, 0, r],
+                      [0, 0, r, 0, -r, 0],
+                      [0, 0, 0, r, 0, -r]])
         checked = 0
         while checked < 15:
             dtl = float(rng.uniform(1.9, 2.6))
@@ -205,12 +232,36 @@ class TestParametric:
             rep = threshold(dtp, dtl)
             if not rep.exists:
                 continue
-            for s in parametric_branch(1.03 * rep.f_threshold, dtp, dtl):
-                analytic = full_jacobian(s, dtp, dtl)
-                numeric = _fd_full_jacobian(s, 1.03 * rep.f_threshold,
-                                            dtp, dtl)
-                assert np.max(np.abs(analytic - numeric)) < 1e-6
+            f = 1.03 * rep.f_threshold
+            for s in parametric_branch(f, dtp, dtl):
+                split = v.T @ _fd_full_jacobian(replace(s, psi=0.0), f, dtp,
+                                                dtl) @ v
+                block = steady._symmetric_block(s.ap2, s.a2, s.phi, dtp, dtl)
+                assert np.max(np.abs(split[:4, :4] - block)) < 1e-6
+                assert np.max(np.abs(split[:4, 4:])) < 1e-6
+                assert np.max(np.abs(split[4:, :4])) < 1e-6
+                anti = np.sort_complex(np.linalg.eigvals(split[4:, 4:]))
+                assert np.max(np.abs(anti - [-2.0, 0.0])) < 1e-6
                 checked += 1
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(x=st.floats(1.001, 10.0), y=st.floats(1e-3, 10.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_pair_gate_is_sign_of_mismatch(self, x, y, sign):
+        # a state on the gain-balance line, placed by choosing Δ̃_L; the
+        # frozen-pump M has {0, −2} and −1 ± √(1 + 12yu) as eigenvalues
+        u = sign * math.sqrt(x * x - 1.0)
+        dtl = 2.0 * x + 3.0 * y + u
+        s = SteadyState(ap2=x, a2=y, phi=math.atan2(1.0 / x, u / x), psi=0.0,
+                        branch=steady.Branch.PARAMETRIC, stable=False)
+        m = build_m(s, dtl).m
+        root = cmath.sqrt(1.0 + 12.0 * y * u)
+        want = np.array([0.0, -2.0, -1.0 + root, -1.0 - root])
+        dist = np.abs(np.linalg.eigvals(m)[:, None] - want[None, :])
+        tol = 1e-6 * max(1.0, abs(root))
+        assert np.all(dist.min(axis=0) < tol)
+        assert np.all(dist.min(axis=1) < tol)
+        assert (_max_re_without_null(m) < 0.0) == (u < 0.0)
 
 
 class TestThreshold:
