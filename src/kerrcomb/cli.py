@@ -7,7 +7,8 @@ per-file checksums; identical configurations yield byte-identical
 outputs for any --workers value.
 
 Exit codes: 0 success, 1 computation error, 2 configuration or usage
-error.
+error, 3 outputs written but some sweep cells raised (each such cell is
+marked MI).
 """
 
 from __future__ import annotations
@@ -265,13 +266,21 @@ def _phase_counts(grid: phases.SweepGrid) -> dict[str, int]:
     return {p.value: grid.count(p) for p in phases.Phase}
 
 
+def _note_cell_errors(args, grids) -> None:
+    """Keep the error text of every cell that raised, for exit code 3."""
+    args.cell_errors.extend(p.error for g in grids for row in g.points
+                            for p in row if p.error)
+
+
 def _sweep(args, cfg: RunConfig, fam, L: int, delta_axis: np.ndarray,
            amp_axis: np.ndarray) -> phases.SweepGrid:
-    return phases.sweep(fam, cfg.resonator, L, delta_axis, amp_axis,
+    grid = phases.sweep(fam, cfg.resonator, L, delta_axis, amp_axis,
                         omega=args.omega,
                         epsilon_ne=cfg.tolerances.epsilon_ne,
                         truncation_order=cfg.tolerances.truncation_order,
                         workers=args.workers)
+    _note_cell_errors(args, [grid])
+    return grid
 
 
 def _joint_pump(args, cfg: RunConfig, out: Path, name: str, fams,
@@ -283,6 +292,7 @@ def _joint_pump(args, cfg: RunConfig, out: Path, name: str, fams,
         epsilon_ne=cfg.tolerances.epsilon_ne,
         margin=cfg.tolerances.mi_margin_cells, workers=args.workers,
         truncation_order=cfg.tolerances.truncation_order)
+    _note_cell_errors(args, [g for grids in sweeps.values() for g in grids])
     payload = {
         "delta_p0_hz": result.delta_p0,
         "amplitudes_v_per_m": result.amplitudes,
@@ -642,12 +652,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
+    args.cell_errors = []
     try:
         written = _HANDLERS[args.command](args, cfg, out)
         # workers is an execution detail with no effect on any output
         # byte, so it stays out of the manifest
         params = {k: v for k, v in vars(args).items()
-                  if k not in ("config", "out", "workers")
+                  if k not in ("config", "out", "workers", "cell_errors")
                   and v is not None}
         write_manifest(out, config_digest(cfg), written, extra=params)
     except ConfigError as exc:
@@ -662,6 +673,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     for path in written:
         print(path)
+    if args.cell_errors:
+        print(f"cell errors: {len(args.cell_errors)} (marked MI); "
+              f"first: {args.cell_errors[0]}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -21,6 +21,12 @@ The pair line forces x ≥ 1 on the nontrivial branch, and y > 0 is only
 possible for Δ̃_L > √3, which is why instability and oscillation set in
 past that detuning.
 
+The drive curve F²(x) along the pair line depends on (Δ̃_p, Δ̃_L) alone.
+parametric_branch samples it once per (sign, interval, Δ̃_p, Δ̃_L) and
+shares that scan between calls, so the threshold search, and the
+amplitude cells of a sweep row, scan each branch once whenever F does
+not cap the interval.
+
 Since a₋ = a₊ on every parametric state, the three-mode linearization
 splits exactly under the signal/idler exchange. The antisymmetric pair
 mode has eigenvalues {0, −2}, the 0 being the free phase split; the
@@ -33,6 +39,7 @@ the symmetric mode is Hurwitz.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -284,21 +291,41 @@ def _bisect(lo: float, hi: float, steps: int,
 
 
 def _branch_drive_curve(xs: np.ndarray | float, sign: float, dtp: float,
-                        dtl: float) -> tuple[np.ndarray | float,
-                                             np.ndarray | float]:
+                        dtl: float, root: np.ndarray | float | None = None,
+                        ) -> tuple[np.ndarray | float, np.ndarray | float]:
     """(y, F²) along one sign branch of the gain-balance line.
 
-    A Python float runs through ``math`` with the same arithmetic in the
-    same order as an array, so both give the same bits.
+    ``root`` is √(x² − 1) at xs, for a caller that shares it between
+    the two signs. A Python float runs through ``math`` with the same
+    arithmetic in the same order as an array, so both give the same bits.
     """
-    if isinstance(xs, np.ndarray):
-        s = sign * np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
-    else:
-        s = sign * math.sqrt(max(xs * xs - 1.0, 0.0))
-    ys = (dtl - 2.0 * xs - s) / 3.0
+    if root is None:
+        if isinstance(xs, np.ndarray):
+            root = np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
+        else:
+            root = math.sqrt(max(xs * xs - 1.0, 0.0))
+    ys = (dtl - 2.0 * xs - sign * root) / 3.0
     g = 1.0 + 2.0 * ys / xs
     h = dtp - xs - (2.0 * ys / xs) * (dtl - 3.0 * ys)
     return ys, xs * (g * g + h * h)
+
+
+@functools.lru_cache(maxsize=8)  # ~20 KB per entry
+def _branch_scan(sign: float, a: float, b: float, dtp: float,
+                 dtl: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep of one sign branch on [a, b]: x, F² and the y > 0 steps.
+
+    The third array marks the steps whose both ends have y > 0. The
+    scan does not depend on F beyond the interval cap, so calls at one
+    (Δ̃_p, Δ̃_L) share it; the arrays are read-only.
+    """
+    xs = np.linspace(a, b, _SCAN_POINTS)
+    ys, curve = _branch_drive_curve(xs, sign, dtp, dtl)
+    pos = ys > 0.0
+    pair = pos[:-1] & pos[1:]
+    for arr in (xs, curve, pair):
+        arr.flags.writeable = False
+    return xs, curve, pair
 
 
 def parametric_branch(f_norm: float, dtp: float,
@@ -308,9 +335,11 @@ def parametric_branch(f_norm: float, dtp: float,
     The gain-balance line x² = 1 + (Δ̃_L − 2x − 3y)² is swept in x on
     both square-root branches; crossings of the drive equation are
     bracketed on the sweep and Newton polished; a polish that does not
-    converge raises NoConvergenceError. A root is stable when u < 0 and
-    its exchange-symmetric block is Hurwitz; the antisymmetric sector,
-    free phase split included, is {0, −2} for every root.
+    converge raises NoConvergenceError. The sweep is shared per (sign,
+    interval, Δ̃_p, Δ̃_L): F enters it only through the interval cap. A
+    root is stable when u < 0 and its exchange-symmetric block is
+    Hurwitz; the antisymmetric sector, free phase split included, is
+    {0, −2} for every root.
     """
     if f_norm <= 0:
         return []
@@ -334,11 +363,9 @@ def parametric_branch(f_norm: float, dtp: float,
     for sign, a, b in intervals:
         if not b > a:
             continue
-        xs = np.linspace(a, b, _SCAN_POINTS)
-        ys, curve = _branch_drive_curve(xs, sign, dtp, dtl)
+        xs, curve, pair = _branch_scan(sign, a, b, dtp, dtl)
         resid = curve - f_sq
-        pos = ys > 0.0
-        brackets = (pos[:-1] & pos[1:]) & (
+        brackets = pair & (
             (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))
         for i in np.flatnonzero(brackets):
             # bisect the bracket on this branch, then polish in 2-D
@@ -395,9 +422,10 @@ def threshold(dtp: float, dtl: float) -> ThresholdReport:
     f_max_sq = _THRESHOLD_F_MAX * _THRESHOLD_F_MAX
     xs = np.linspace(1.0, min(x_top + 1.0, f_max_sq + 1.0),
                      _THRESHOLD_SCAN_POINTS)
+    root = np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
     best = math.inf
     for sign in (+1.0, -1.0):
-        ys, f_sq = _branch_drive_curve(xs, sign, dtp, dtl)
+        ys, f_sq = _branch_drive_curve(xs, sign, dtp, dtl, root)
         ok = (ys > 0.0) & (f_sq > 0.0)
         if ok.any():
             best = min(best, float(np.min(f_sq[ok])))
@@ -418,10 +446,13 @@ def threshold(dtp: float, dtl: float) -> ThresholdReport:
             break
     if hi is None:
         return ThresholdReport(f_threshold=math.nan, exists=False)
-    lo = math.sqrt(best) * (1.0 - 1e-6)
-    for _ in range(60):
-        if not exists_at(lo):
-            break
-        lo *= 1.0 - 1e-4
+    # Walk lo down until no root exists: 60 steps of 1e-4, then growing
+    # ones. F² ≥ x ≥ 1 on every parametric state, so it ends by F < 1.
+    lo, step, walked = math.sqrt(best) * (1.0 - 1e-6), 1e-4, 0
+    while exists_at(lo):
+        lo *= 1.0 - step
+        walked += 1
+        if walked >= 60:
+            step = min(2.0 * step, 0.5)
     _, hi = _bisect(lo, hi, 80, lambda f: not exists_at(f))
     return ThresholdReport(f_threshold=hi, exists=True)

@@ -168,6 +168,31 @@ class TestCli:
             out = tmp_path / command
             assert main([command, *point, "--out", str(out)]) == 1
 
+    def test_raising_cell_exits_3_after_writing(self, tmp_path, monkeypatch,
+                                                capsys):
+        real = phases.operating_state
+        calls = []
+
+        def flaky(drive, *args):
+            calls.append(drive)
+            if len(calls) == 5:
+                raise steady.NoConvergenceError("stalled")
+            return real(drive, *args)
+
+        monkeypatch.setattr(phases, "operating_state", flaky)
+        out = tmp_path / "o"
+        code = main(["phase-diagram", "--family", "TE00", "--grid", "4",
+                     "--workers", "1", "--out", str(out)])
+        assert code == 3
+        assert len(calls) == 16
+        for name in ("phase_TE00_L1.csv", "phase_TE00_L1.svg",
+                     "phase_TE00_L1_meta.json", "manifest.json"):
+            assert (out / name).is_file()
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("cell errors: 1 (marked MI)")
+        assert err.endswith("NoConvergenceError: stalled")
+
     def test_steady_json_branches(self, tmp_path):
         code = main(["steady", "--f-norm", "1.6", "--dtp", "2.4",
                      "--dtl", "2.4", "--out", str(tmp_path / "o")])

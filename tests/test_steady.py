@@ -263,6 +263,45 @@ class TestParametric:
         assert np.all(dist.min(axis=1) < tol)
         assert (_max_re_without_null(m) < 0.0) == (u < 0.0)
 
+    def test_shared_scan_changes_no_bit(self, rng):
+        # F in [0.3, 4] caps the scan interval at F² + 1 on some drives
+        # and leaves it at the y > 0 edge on others
+        rows = [(float(rng.uniform(-1, 6)), float(rng.uniform(1.75, 7)))
+                for _ in range(12)]
+        drives = [(float(f), dtp, dtl) for dtp, dtl in rows
+                  for f in rng.uniform(0.3, 4.0, 10)]
+        capped = [f * f + 1.0 < (2.0 * dtl + math.sqrt(dtl * dtl - 3.0)) / 3.0
+                  for f, dtp, dtl in drives if dtl > SQRT3]
+        assert any(capped) and not all(capped)
+
+        def cold(drive):
+            steady._branch_scan.cache_clear()
+            return repr(parametric_branch(*drive))
+
+        expected = [cold(d) for d in drives]
+        assert sum(r != "[]" for r in expected) > 20
+        # three rows at a time, one drive of each in turn: their six
+        # scans fit the cache together
+        across_rows = [drives[10 * row + j] for first in range(0, 12, 3)
+                       for j in range(10) for row in range(first, first + 3)]
+        for order in (drives, across_rows):
+            steady._branch_scan.cache_clear()
+            got = {d: repr(parametric_branch(*d)) for d in order}
+            assert [got[d] for d in drives] == expected
+            assert steady._branch_scan.cache_info().hits > 0
+
+    def test_shared_scan_is_read_only(self):
+        for arr in steady._branch_scan(-1.0, 1.0, 3.0, 2.4, 2.4):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+
+
+# threshold points whose downward walk outlasted its first 60 steps
+WALK_PAST_60 = [(0.7949472382883835, 1.9986713558945053),
+                (1.074526827828275, 1.9998911515654514),
+                (0.46680977302421445, 1.9996159956502355)]
+
 
 class TestThreshold:
     def test_bracketing(self):
@@ -272,6 +311,25 @@ class TestThreshold:
             assert rep.f_threshold > 0
             assert parametric_branch(0.999 * rep.f_threshold, dtp, dtl) == []
             assert parametric_branch(1.001 * rep.f_threshold, dtp, dtl)
+
+    def test_edge_is_the_last_float_with_a_root(self, rng):
+        points = [(float(rng.uniform(-1, 6)), float(rng.uniform(1.75, 7)))
+                  for _ in range(40)] + WALK_PAST_60
+        edges = []
+        for dtp, dtl in points:
+            rep = threshold(dtp, dtl)
+            if rep.exists:
+                edges.append((rep.f_threshold, dtp, dtl))
+        assert len(edges) > 30
+        # two points at a time, each once before and once after the
+        # other, so its scans are built cold and reused warm
+        for k in range(0, len(edges), 2):
+            pair = edges[k:k + 2]
+            for f, dtp, dtl in pair:
+                assert parametric_branch(f, dtp, dtl)
+            for f, dtp, dtl in pair:
+                assert parametric_branch(np.nextafter(f, 0.0), dtp,
+                                         dtl) == []
 
     def test_bisection_stops_when_it_repeats(self, rng):
         for _ in range(200):
