@@ -1,10 +1,12 @@
 """Command-line interface: config loading, subcommand dispatch, emission.
 
 Subcommands: dispersion, overlap, transmission, steady, spectrum, duan,
-phase-diagram, best-pump, oracle, reproduce. Outputs are CSV/JSON/SVG
-files in --out plus a manifest.json carrying the config digest and
-per-file checksums; identical configurations yield byte-identical
-outputs for any --workers value.
+phase-diagram, best-pump, oracle {mean-field, jacobian, langevin,
+duan-grid} and reproduce {fig2 ... fig7}. Each is an argparse leaf that
+takes, after the command name, only the flags its handler reads. Outputs
+are CSV/JSON/SVG files in --out plus a manifest.json carrying the config
+digest, per-file checksums and those flags (--workers aside: outputs are
+byte-identical for any value).
 
 Exit codes: 0 success, 1 computation error, 2 configuration or usage
 error, 3 outputs written but some sweep cells raised (each such cell is
@@ -17,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +36,13 @@ from .svg import heatmap_svg, line_plot_svg
 __all__ = ["main", "build_parser"]
 
 
-class ComputationError(Exception):
-    """Wraps failures of requested computations (CLI exit code 1)."""
-
-
 class UsageError(Exception):
     """A command line the subcommand cannot act on (CLI exit code 2)."""
+
+
+def _require(cond: bool, problem: str) -> None:
+    if not cond:
+        raise UsageError(problem)
 
 
 def _fmt_cell(value) -> str:
@@ -72,28 +76,38 @@ def _emit_table(args, out: Path, name: str, header: list[str],
     return [write_output(out, f"{name}.csv", _csv(header, rows))]
 
 
+def _family(cfg: RunConfig, label: str):
+    """The family ``label`` names; an unknown label is a usage error."""
+    labels = cfg.resonator.labels
+    _require(label in labels,
+             f"unknown family {label!r}; the config has {', '.join(labels)}")
+    return cfg.resonator.family(label)
+
+
 def _families_arg(cfg: RunConfig, spec: str | None):
     if not spec or spec == "all":
         return list(cfg.resonator.families)
     labels = [s.strip() for s in spec.split(",") if s.strip()]
-    return [cfg.resonator.family(lbl) for lbl in labels]
+    return [_family(cfg, lbl) for lbl in labels]
 
 
 def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
     """Drive from either physical flags or raw normalized flags."""
+    physical = (args.family, args.detuning_ghz, args.apin_v_per_m)
     if args.f_norm is not None:
+        _require(physical == (None, None, None),
+                 "--f-norm excludes --family/--detuning-ghz/--apin-v-per-m")
         for name in ("dtp", "dtl"):
-            if getattr(args, name) is None:
-                raise UsageError(f"--{name} required with --f-norm")
+            _require(getattr(args, name) is not None,
+                     f"--{name} required with --f-norm")
         drive = NormalizedDrive(f_norm=args.f_norm, dtp=args.dtp,
                                 dtl=args.dtl)
         return drive, fluct.DEFAULT_INTRINSIC_FRACTION
-    if args.family is None or args.detuning_ghz is None \
-            or args.apin_v_per_m is None:
-        raise UsageError(
-            "provide --family/--L/--detuning-ghz/--apin-v-per-m "
-            "or raw --f-norm/--dtp/--dtl")
-    fam = cfg.resonator.family(args.family)
+    _require(None not in physical,
+             "provide --family/--L/--detuning-ghz/--apin-v-per-m "
+             "or raw --f-norm/--dtp/--dtl")
+    _require(args.L >= 1, "--L must be >= 1")
+    fam = _family(cfg, args.family)
     op = OperatingPoint(family=fam, L=args.L,
                         delta_p0=args.detuning_ghz * 1e9,
                         a_pin=args.apin_v_per_m)
@@ -113,8 +127,7 @@ def _axes_from_args(args, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         if flag is not None:
             axes[key] = flag
     problems = sweep_axis_problems(axes)
-    if problems:
-        raise UsageError("; ".join(problems))
+    _require(not problems, "; ".join(problems))
     n = axes["grid"]
     return (np.linspace(axes["delta_min_ghz"] * 1e9,
                         axes["delta_max_ghz"] * 1e9, n),
@@ -125,11 +138,11 @@ def _load_sigma(path: str) -> np.ndarray:
     """The 4×4 covariance of a --sigma-json file, checked before use."""
     sigma = np.array(json.loads(Path(path).read_text()), dtype=float)
     if sigma.shape != (4, 4):
-        raise ComputationError(f"--sigma-json is {sigma.shape}, not 4x4")
+        raise ValueError(f"--sigma-json is {sigma.shape}, not 4x4")
     if not np.isfinite(sigma).all():
-        raise ComputationError("--sigma-json has non-finite entries")
+        raise ValueError("--sigma-json has non-finite entries")
     if not np.allclose(sigma, sigma.T, atol=1e-9):
-        raise ComputationError("--sigma-json matrix is not symmetric")
+        raise ValueError("--sigma-json matrix is not symmetric")
     return sigma
 
 
@@ -168,12 +181,15 @@ def _transmission_table(fams, center: float, half: float, samples: int,
 
 
 def _cmd_dispersion(args, cfg: RunConfig, out: Path) -> list[Path]:
+    _require(args.l_min <= args.l_max, "--l-min must not exceed --l-max")
     return _emit_table(args, out, "dispersion", *_dispersion_table(
         _families_arg(cfg, args.families), range(args.l_min, args.l_max + 1),
         cfg.tolerances.truncation_order))
 
 
 def _cmd_overlap(args, cfg: RunConfig, out: Path) -> list[Path]:
+    _require(args.f_min_thz < args.f_max_thz,
+             "--f-min-thz must be below --f-max-thz")
     return _emit_table(args, out, "overlap", *_overlap_table(
         _families_arg(cfg, args.families),
         (args.f_min_thz * 1e12, args.f_max_thz * 1e12),
@@ -181,6 +197,7 @@ def _cmd_overlap(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _cmd_transmission(args, cfg: RunConfig, out: Path) -> list[Path]:
+    _require(args.samples >= 2, "--samples must be >= 2")
     header, rows, series = _transmission_table(
         _families_arg(cfg, args.families), args.center_thz * 1e12,
         args.span_ghz * 1e9 / 2.0, args.samples,
@@ -304,7 +321,7 @@ def _joint_pump(args, cfg: RunConfig, out: Path, name: str, fams,
     return _write_json(out, name, payload), sweeps
 
 
-def _grid_svg(grid: phases.SweepGrid, cfg: RunConfig, title: str) -> str:
+def _grid_svg(grid: phases.SweepGrid, cfg: RunConfig) -> str:
     cm = grid.c_min_array()
     mi = grid.phase_array() == phases.Phase.MI.value
     hm = cfg.heatmap
@@ -315,25 +332,30 @@ def _grid_svg(grid: phases.SweepGrid, cfg: RunConfig, title: str) -> str:
         mi_color=hm["mi_color"],
         config_digest=config_digest(cfg),
         x_label="pump amplitude (1e9 V/m)", y_label="pump detuning (GHz)",
-        title=title)
+        title=f"{grid.family} L={grid.L}")
 
 
 def _cmd_phase_diagram(args, cfg: RunConfig, out: Path) -> list[Path]:
-    fam = cfg.resonator.family(args.family)
+    fam = _family(cfg, args.family)
+    _require(args.L >= 1, "--L must be >= 1")
     grid = _sweep(args, cfg, fam, args.L, *_axes_from_args(args, cfg))
     name = f"phase_{fam.label}_L{args.L}"
     meta = {"family": fam.label, "L": args.L, "omega": args.omega,
             "epsilon_ne": cfg.tolerances.epsilon_ne,
             "counts": _phase_counts(grid)}
     return [_write_phase_csv(out, name, grid),
-            write_output(out, f"{name}.svg",
-                         _grid_svg(grid, cfg, f"{fam.label} L={args.L}")),
+            write_output(out, f"{name}.svg", _grid_svg(grid, cfg)),
             _write_json(out, f"{name}_meta.json", meta)]
 
 
 def _cmd_best_pump(args, cfg: RunConfig, out: Path) -> list[Path]:
     fams = _families_arg(cfg, args.families)
-    ls = [int(s) for s in args.Ls.split(",")]
+    try:
+        ls = [int(s) for s in args.Ls.split(",")]
+    except ValueError:
+        raise UsageError(f"--Ls {args.Ls!r} is not a comma-separated "
+                         "list of integers") from None
+    _require(min(ls) >= 1, "--Ls entries must be >= 1")
     path, sweeps = _joint_pump(args, cfg, out, "best_pump.json", fams, ls)
     written = [path]
     for label, grids in sorted(sweeps.items()):
@@ -342,57 +364,60 @@ def _cmd_best_pump(args, cfg: RunConfig, out: Path) -> list[Path]:
     return written
 
 
-def _cmd_oracle(args, cfg: RunConfig, out: Path) -> list[Path]:
-    if args.oracle_op == "duan-grid":
-        if args.sigma_json is None:
-            raise UsageError("duan-grid requires --sigma-json")
-        c_min, (tp, tm) = oracle.brute_force_duan(
-            _load_sigma(args.sigma_json), args.grid_n)
-        payload = {"c_min": c_min, "theta_plus": tp, "theta_minus": tm,
-                   "grid_n": args.grid_n}
-        return [_write_json(out, "oracle_duan-grid.json", payload)]
+def _oracle_duan_grid(args, cfg: RunConfig, out: Path) -> list[Path]:
+    _require(args.sigma_json is not None, "duan-grid requires --sigma-json")
+    c_min, (tp, tm) = oracle.brute_force_duan(_load_sigma(args.sigma_json),
+                                              args.grid_n)
+    payload = {"c_min": c_min, "theta_plus": tp, "theta_minus": tm,
+               "grid_n": args.grid_n}
+    return [_write_json(out, "oracle_duan-grid.json", payload)]
 
+
+def _oracle_mean_field(args, cfg: RunConfig, out: Path) -> list[Path]:
+    drive, _ = _operating_point(args, cfg)
+    init = oracle.MeanFieldState(args.alpha0, args.alpha0, args.alpha0)
+    times, traj = oracle.integrate_mean_field(init, drive, args.t_end,
+                                              args.dt, sample_every=50)
+    resid = oracle.mean_field_rhs(traj[-1], drive)
+    payload = {
+        "final": [[v.real, v.imag] for v in traj[-1]],
+        "residual": float(np.max(np.abs(resid))),
+        "t_end": args.t_end,
+    }
+    return [_write_json(out, "oracle_mean-field.json", payload)]
+
+
+def _oracle_jacobian(args, cfg: RunConfig, out: Path) -> list[Path]:
     drive, intrinsic = _operating_point(args, cfg)
-    if args.oracle_op == "mean-field":
-        init = oracle.MeanFieldState(args.alpha0, args.alpha0, args.alpha0)
-        times, traj = oracle.integrate_mean_field(init, drive, args.t_end,
-                                                  args.dt, sample_every=50)
-        resid = oracle.mean_field_rhs(traj[-1], drive)
-        payload = {
-            "final": [[v.real, v.imag] for v in traj[-1]],
-            "residual": float(np.max(np.abs(resid))),
-            "t_end": args.t_end,
-        }
-    elif args.oracle_op == "jacobian":
-        op = phases.operating_state(drive, intrinsic)
-        analytic = op.system.m
-        numeric = oracle.fd_jacobian(op.state, drive)
-        payload = {
-            "state": _branch_record(op.state),
-            "max_abs_difference": float(np.max(np.abs(analytic - numeric))),
-            "analytic": _complex_matrix(analytic),
-            "finite_difference": _complex_matrix(numeric),
-        }
-    elif args.oracle_op == "langevin":
-        if args.n_samples < 1000:  # the oracle's own floor
-            raise UsageError("--n-samples must be at least 1000")
-        sys_ = phases.operating_state(drive, intrinsic).system
-        cov, se = oracle.langevin_covariance(
-            sys_.m, intrinsic, args.n_samples, args.t_end, args.dt,
-            args.seed)
-        sigma = duan_mod.quadrature_covariance(
-            fluct.noise_spectrum(sys_, 0.0))
-        z = (cov - sigma) / np.where(se > 0, se, 1.0)
-        payload = {
-            "covariance": [[float(v) for v in row] for row in cov],
-            "standard_errors": [[float(v) for v in row] for row in se],
-            "deterministic": [[float(v) for v in row] for row in sigma],
-            "max_abs_z": float(np.max(np.abs(z))),
-            "seed": args.seed,
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ComputationError(f"unknown oracle op {args.oracle_op}")
-    return [_write_json(out, f"oracle_{args.oracle_op}.json", payload)]
+    op = phases.operating_state(drive, intrinsic)
+    analytic = op.system.m
+    numeric = oracle.fd_jacobian(op.state, drive)
+    payload = {
+        "state": _branch_record(op.state),
+        "max_abs_difference": float(np.max(np.abs(analytic - numeric))),
+        "analytic": _complex_matrix(analytic),
+        "finite_difference": _complex_matrix(numeric),
+    }
+    return [_write_json(out, "oracle_jacobian.json", payload)]
+
+
+def _oracle_langevin(args, cfg: RunConfig, out: Path) -> list[Path]:
+    drive, intrinsic = _operating_point(args, cfg)
+    _require(args.n_samples >= 1000,  # the oracle's own floor
+             "--n-samples must be at least 1000")
+    sys_ = phases.operating_state(drive, intrinsic).system
+    cov, se = oracle.langevin_covariance(
+        sys_.m, intrinsic, args.n_samples, args.t_end, args.dt, args.seed)
+    sigma = duan_mod.quadrature_covariance(fluct.noise_spectrum(sys_, 0.0))
+    z = (cov - sigma) / np.where(se > 0, se, 1.0)
+    payload = {
+        "covariance": [[float(v) for v in row] for row in cov],
+        "standard_errors": [[float(v) for v in row] for row in se],
+        "deterministic": [[float(v) for v in row] for row in sigma],
+        "max_abs_z": float(np.max(np.abs(z))),
+        "seed": args.seed,
+    }
+    return [_write_json(out, "oracle_langevin.json", payload)]
 
 
 # ------------------------------------------------------------- reproduce
@@ -415,8 +440,7 @@ def _reproduce_fig2(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def _reproduce_fig3(args, cfg: RunConfig, out: Path) -> list[Path]:
-    labels = ("TE00", "TE10", "TM10")
-    fams = [cfg.resonator.family(lbl) for lbl in labels]
+    fams = [cfg.resonator.family(lbl) for lbl in ("TE00", "TE10", "TM10")]
     center = 214.593e12
     order = cfg.tolerances.truncation_order
     header, rows, series = _transmission_table(fams, center, 15e9, 3001,
@@ -432,7 +456,7 @@ def _reproduce_fig3(args, cfg: RunConfig, out: Path) -> list[Path]:
     return written
 
 
-def _reproduce_phase_grids(args, cfg: RunConfig, out: Path, name: str,
+def _reproduce_phase_grids(args, cfg: RunConfig, out: Path,
                            ls: list[int]) -> list[Path]:
     fam = cfg.resonator.family("TE00")
     delta_axis, amp_axis = _axes_from_args(args, cfg)
@@ -440,12 +464,11 @@ def _reproduce_phase_grids(args, cfg: RunConfig, out: Path, name: str,
     counts = {}
     for l_idx in ls:
         grid = _sweep(args, cfg, fam, l_idx, delta_axis, amp_axis)
-        written.append(_write_phase_csv(out, f"{name}_TE00_L{l_idx}", grid))
-        written.append(write_output(out, f"{name}_TE00_L{l_idx}.svg",
-                                    _grid_svg(grid, cfg,
-                                              f"TE00 L={l_idx}")))
+        name = f"{args.figure}_TE00_L{l_idx}"
+        written.append(_write_phase_csv(out, name, grid))
+        written.append(write_output(out, f"{name}.svg", _grid_svg(grid, cfg)))
         counts[f"L{l_idx}"] = _phase_counts(grid)
-    written.append(_write_json(out, f"{name}_counts.json", counts))
+    written.append(_write_json(out, f"{args.figure}_counts.json", counts))
     return written
 
 
@@ -504,144 +527,118 @@ def _reproduce_fig7(args, cfg: RunConfig, out: Path) -> list[Path]:
     for label, grids in sorted(sweeps.items()):
         for grid in grids:
             written.append(write_output(out, f"fig7_{label}_L{grid.L}.svg",
-                                        _grid_svg(grid, cfg,
-                                                  f"{label} L={grid.L}")))
+                                        _grid_svg(grid, cfg)))
     return written
-
-
-def _cmd_reproduce(args, cfg: RunConfig, out: Path) -> list[Path]:
-    drivers = {
-        "fig2": _reproduce_fig2,
-        "fig3": _reproduce_fig3,
-        "fig4": lambda a, c, o: _reproduce_phase_grids(a, c, o, "fig4", [1]),
-        "fig5": lambda a, c, o: _reproduce_phase_grids(a, c, o, "fig5",
-                                                       [1, 2, 3, 4, 5, 6]),
-        "fig6": _reproduce_fig6,
-        "fig7": _reproduce_fig7,
-    }
-    return drivers[args.figure](args, cfg, out)
 
 
 # ------------------------------------------------------------- parser
 
 
-def _add_point_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", help="modal family label")
-    p.add_argument("--L", type=int, default=1, help="mode-pair index")
-    p.add_argument("--detuning-ghz", type=float,
-                   help="pump detuning, resonance minus laser, GHz")
-    p.add_argument("--apin-v-per-m", type=float,
-                   help="input field amplitude, V/m")
-    p.add_argument("--f-norm", type=float,
-                   help="raw normalized drive (with --dtp/--dtl)")
-    p.add_argument("--dtp", type=float, help="raw pump detuning, units of Γ")
-    p.add_argument("--dtl", type=float, help="raw pair detuning, units of Γ")
-
-
-def _add_axes_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta-min-ghz", type=float)
-    p.add_argument("--delta-max-ghz", type=float)
-    p.add_argument("--amp-min", type=float, help="V/m")
-    p.add_argument("--amp-max", type=float, help="V/m")
-    p.add_argument("--grid", type=int, help="cells per axis")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config",
+                    help="path to a config JSON (default: packaged table)")
+    io.add_argument("--out", default="out", help="output directory")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--family", help="modal family label")
+    point.add_argument("--L", type=int, default=1, help="mode-pair index")
+    point.add_argument("--detuning-ghz", type=float,
+                       help="pump detuning, resonance minus laser, GHz")
+    point.add_argument("--apin-v-per-m", type=float,
+                       help="input field amplitude, V/m")
+    point.add_argument("--f-norm", type=float,
+                       help="raw normalized drive (with --dtp/--dtl)")
+    point.add_argument("--dtp", type=float,
+                       help="raw pump detuning, units of Γ")
+    point.add_argument("--dtl", type=float,
+                       help="raw pair detuning, units of Γ")
+    omega = argparse.ArgumentParser(add_help=False)
+    omega.add_argument("--omega", type=float, default=0.0,
+                       help="analysis frequency in units of Γ")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[omega])
+    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--delta-min-ghz", type=float)
+    sweep.add_argument("--delta-max-ghz", type=float)
+    sweep.add_argument("--amp-min", type=float, help="V/m")
+    sweep.add_argument("--amp-max", type=float, help="V/m")
+    sweep.add_argument("--grid", type=int, help="cells per axis")
+    sigma = argparse.ArgumentParser(add_help=False)
+    sigma.add_argument("--sigma-json", help="path to a 4x4 covariance JSON")
+    integrate = argparse.ArgumentParser(add_help=False)
+    integrate.add_argument("--t-end", type=float, default=200.0)
+    integrate.add_argument("--dt", type=float, default=0.01)
+
+    def leaf(group, name: str, handler, *parents, **kw):
+        p = group.add_parser(name, parents=[io, *parents], **kw)
+        p.set_defaults(handler=handler)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="kerrcomb",
         description="Quantum Kerr comb phase diagrams for multimode "
                     "microrings")
-    def add_common(target: argparse.ArgumentParser, suppress: bool) -> None:
-        # the same flags exist before and after the subcommand; the
-        # subparser copies use SUPPRESS so they only override when given
-        d = (lambda v: argparse.SUPPRESS if suppress else v)
-        target.add_argument("--config", default=d(None),
-                            help="path to a config JSON "
-                                 "(default: packaged table)")
-        target.add_argument("--out", default=d("out"),
-                            help="output directory")
-        target.add_argument("--workers", type=int, default=d(1))
-        target.add_argument("--omega", type=float, default=d(0.0),
-                            help="analysis frequency in units of Γ")
-        target.add_argument("--seed", type=int, default=d(12345))
-        target.add_argument("--format", choices=("csv", "json"),
-                            default=d("csv"))
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    add_common(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    add_common(common, suppress=True)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
-
-    p = sub.add_parser("dispersion", help="resonance grid and D_int CSV")
+    p = leaf(sub, "dispersion", _cmd_dispersion, fmt,
+             help="resonance grid and D_int CSV")
     p.add_argument("--families", default="all")
     p.add_argument("--l-min", type=int, default=-64)
     p.add_argument("--l-max", type=int, default=64)
 
-    p = sub.add_parser("overlap", help="cross-family resonance overlap")
+    p = leaf(sub, "overlap", _cmd_overlap, fmt,
+             help="cross-family resonance overlap")
     p.add_argument("--families", default="TE00,TE10,TM10")
     p.add_argument("--f-min-thz", type=float, default=214.4)
     p.add_argument("--f-max-thz", type=float, default=214.8)
     p.add_argument("--tolerance-ghz", type=float, default=2.0)
 
-    p = sub.add_parser("transmission", help="through-port spectra")
+    p = leaf(sub, "transmission", _cmd_transmission, fmt,
+             help="through-port spectra")
     p.add_argument("--families", default="all")
     p.add_argument("--center-thz", type=float, default=214.593)
     p.add_argument("--span-ghz", type=float, default=30.0)
     p.add_argument("--samples", type=int, default=3001)
 
-    p = sub.add_parser("steady", help="steady-state branches as JSON")
-    _add_point_flags(p)
+    leaf(sub, "steady", _cmd_steady, point,
+         help="steady-state branches as JSON")
+    leaf(sub, "spectrum", _cmd_spectrum, point, omega,
+         help="output noise spectral density")
+    leaf(sub, "duan", _cmd_duan, point, omega, sigma,
+         help="minimized entanglement witness")
 
-    p = sub.add_parser("spectrum", help="output noise spectral density")
-    _add_point_flags(p)
-
-    p = sub.add_parser("duan", help="minimized entanglement witness")
-    _add_point_flags(p)
-    p.add_argument("--sigma-json", help="path to a 4x4 covariance JSON")
-
-    p = sub.add_parser("phase-diagram", help="NE/ET/MI sweep for one L")
+    p = leaf(sub, "phase-diagram", _cmd_phase_diagram, sweep,
+             help="NE/ET/MI sweep for one L")
     p.add_argument("--family", required=True)
     p.add_argument("--L", type=int, default=1)
-    _add_axes_flags(p)
 
-    p = sub.add_parser("best-pump", help="shared-detuning joint optimum")
+    p = leaf(sub, "best-pump", _cmd_best_pump, sweep,
+             help="shared-detuning joint optimum")
     p.add_argument("--families", default="TE00,TE10,TM10")
     p.add_argument("--Ls", default="1")
-    _add_axes_flags(p)
 
-    p = sub.add_parser("oracle", help="verification engines (debugging)")
-    p.add_argument("oracle_op", choices=("mean-field", "jacobian",
-                                         "langevin", "duan-grid"))
-    _add_point_flags(p)
+    ops = sub.add_parser("oracle", help="verification engines (debugging)"
+                         ).add_subparsers(dest="oracle_op", required=True)
+    p = leaf(ops, "mean-field", _oracle_mean_field, point, integrate)
     p.add_argument("--alpha0", type=float, default=0.01)
-    p.add_argument("--t-end", type=float, default=200.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    leaf(ops, "jacobian", _oracle_jacobian, point)
+    p = leaf(ops, "langevin", _oracle_langevin, point, integrate)
     p.add_argument("--n-samples", type=int, default=2000)
-    p.add_argument("--sigma-json")
+    p.add_argument("--seed", type=int, default=12345)
+    p = leaf(ops, "duan-grid", _oracle_duan_grid, sigma)
     p.add_argument("--grid-n", type=int, default=1024)
 
-    p = sub.add_parser("reproduce", help="canned analysis bundles")
-    p.add_argument("figure", choices=("fig2", "fig3", "fig4", "fig5",
-                                      "fig6", "fig7"))
-    _add_axes_flags(p)
-
+    figures = sub.add_parser("reproduce", help="canned analysis bundles"
+                             ).add_subparsers(dest="figure", required=True)
+    leaf(figures, "fig2", _reproduce_fig2)
+    leaf(figures, "fig3", _reproduce_fig3)
+    leaf(figures, "fig4", partial(_reproduce_phase_grids, ls=[1]), sweep)
+    leaf(figures, "fig5",
+         partial(_reproduce_phase_grids, ls=[1, 2, 3, 4, 5, 6]), sweep)
+    leaf(figures, "fig6", _reproduce_fig6, sweep)
+    leaf(figures, "fig7", _reproduce_fig7, sweep)
     return parser
-
-
-_HANDLERS = {
-    "dispersion": _cmd_dispersion,
-    "overlap": _cmd_overlap,
-    "transmission": _cmd_transmission,
-    "steady": _cmd_steady,
-    "spectrum": _cmd_spectrum,
-    "duan": _cmd_duan,
-    "phase-diagram": _cmd_phase_diagram,
-    "best-pump": _cmd_best_pump,
-    "oracle": _cmd_oracle,
-    "reproduce": _cmd_reproduce,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -654,11 +651,12 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     args.cell_errors = []
     try:
-        written = _HANDLERS[args.command](args, cfg, out)
+        written = args.handler(args, cfg, out)
         # workers is an execution detail with no effect on any output
         # byte, so it stays out of the manifest
         params = {k: v for k, v in vars(args).items()
-                  if k not in ("config", "out", "workers", "cell_errors")
+                  if k not in ("config", "out", "workers", "cell_errors",
+                               "handler")
                   and v is not None}
         write_manifest(out, config_digest(cfg), written, extra=params)
     except ConfigError as exc:

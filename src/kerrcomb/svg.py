@@ -48,6 +48,19 @@ def _label(x: float, y: float, text: str, anchor: str = "middle",
             f"{text}</text>")
 
 
+def _titles(plot_w: float, plot_h: float, height: int, x_label: str,
+            y_label: str, title: str) -> list[str]:
+    """Axis labels and title around a plot area at the standard margins."""
+    parts = []
+    if x_label:
+        parts.append(_label(_MARGIN_L + plot_w / 2, height - 12, x_label))
+    if y_label:
+        parts.append(_label(16, _MARGIN_T + plot_h / 2, y_label, rotate=-90.0))
+    if title:
+        parts.append(_label(_MARGIN_L + plot_w / 2, 20, title, size=13))
+    return parts
+
+
 def heatmap_svg(values: np.ndarray, mi_mask: np.ndarray,
                 x_axis: Sequence[float], y_axis: Sequence[float],
                 bucket_edges: Sequence[float], bucket_colors: Sequence[str],
@@ -110,13 +123,7 @@ def heatmap_svg(values: np.ndarray, mi_mask: np.ndarray,
                                             float(y_axis[-1])))]:
         parts.append(_label(_MARGIN_L - 8, _MARGIN_T + plot_h * (1 - frac) + 4,
                             f"{val:.4g}", anchor="end"))
-    if x_label:
-        parts.append(_label(_MARGIN_L + plot_w / 2, height - 12, x_label))
-    if y_label:
-        parts.append(_label(16, _MARGIN_T + plot_h / 2, y_label,
-                            rotate=-90.0))
-    if title:
-        parts.append(_label(_MARGIN_L + plot_w / 2, 20, title, size=13))
+    parts.extend(_titles(plot_w, plot_h, height, x_label, y_label, title))
     # legend
     lx = _MARGIN_L + plot_w + 14
     for k, (edge, color) in enumerate(zip(bucket_edges, bucket_colors)):
@@ -182,11 +189,6 @@ def line_plot_svg(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
     for val in _axis_ticks(y_lo, y_hi):
         parts.append(_label(_MARGIN_L - 8, py(val) + 4, f"{val:.4g}",
                             anchor="end"))
-    if x_label:
-        parts.append(_label(_MARGIN_L + plot_w / 2, height - 12, x_label))
-    if y_label:
-        parts.append(_label(16, _MARGIN_T + plot_h / 2, y_label, rotate=-90.0))
-    if title:
-        parts.append(_label(_MARGIN_L + plot_w / 2, 20, title, size=13))
+    parts.extend(_titles(plot_w, plot_h, height, x_label, y_label, title))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

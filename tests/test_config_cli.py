@@ -1,10 +1,11 @@
+import argparse
 import inspect
 import json
 
 import pytest
 
 from kerrcomb import phases, steady
-from kerrcomb.cli import main
+from kerrcomb.cli import build_parser, main
 from kerrcomb.dispersion import composite_pump_weights
 from kerrcomb.config import (
     ParseError,
@@ -91,7 +92,7 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        code = main(["--config", str(bad), "dispersion",
+        code = main(["dispersion", "--config", str(bad),
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
@@ -109,14 +110,101 @@ class TestCli:
         (["oracle", "duan-grid"], "duan-grid requires --sigma-json"),
         (["oracle", "langevin", "--f-norm", "1.2", "--dtp", "1.6",
           "--dtl", "1.6", "--n-samples", "500"], "--n-samples"),
+        (["phase-diagram", "--family", "XX"], "unknown family 'XX'"),
+        (["dispersion", "--families", "TE00,XX"], "unknown family 'XX'"),
+        (["steady", "--family", "TE00", "--L", "0", "--detuning-ghz", "0.36",
+          "--apin-v-per-m", "1.1e7"], "--L must be >= 1"),
+        (["phase-diagram", "--family", "TE00", "--L", "0"],
+         "--L must be >= 1"),
+        (["best-pump", "--Ls", "0"], "--Ls entries must be >= 1"),
+        (["best-pump", "--Ls", "1,,3"], "not a comma-separated list"),
+        (["dispersion", "--l-min", "5", "--l-max", "1"],
+         "--l-min must not exceed --l-max"),
+        (["overlap", "--f-min-thz", "215", "--f-max-thz", "214"],
+         "--f-min-thz must be below --f-max-thz"),
+        (["transmission", "--samples", "1"], "--samples must be >= 2"),
+        (["steady", "--f-norm", "1.6", "--dtp", "2.4", "--dtl", "2.4",
+          "--family", "TE00"], "--f-norm excludes"),
+        (["duan", "--f-norm", "1.6", "--dtp", "2.4", "--dtl", "2.4",
+          "--detuning-ghz", "0.36", "--apin-v-per-m", "1.1e7"],
+         "--f-norm excludes"),
     ], ids=["no-point", "f-norm-without-dtl", "duan-grid-without-sigma",
-            "langevin-few-samples"])
+            "langevin-few-samples", "unknown-family",
+            "unknown-family-in-list", "L-zero", "phase-diagram-L-zero",
+            "Ls-zero", "Ls-malformed", "l-min-above-l-max",
+            "f-min-above-f-max", "one-sample", "f-norm-with-family",
+            "f-norm-with-physical-point"])
     def test_usage_error_exit_code(self, tmp_path, capsys, argv, problem):
         code = main([*argv, "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and problem in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "langevin", "--f-norm", "1.2", "--dtp", "1.6", "--dtl",
+         "1.6", "--omega", "0.5"],
+        ["oracle", "jacobian", "--f-norm", "1.2", "--dtp", "1.6", "--dtl",
+         "1.6", "--seed", "3"],
+        ["oracle", "duan-grid", "--f-norm", "1"],
+        ["steady", "--f-norm", "1.6", "--dtp", "2.4", "--dtl", "2.4",
+         "--workers", "2"],
+        ["dispersion", "--omega", "1"],
+        ["phase-diagram", "--family", "TE00", "--grid", "2", "--format",
+         "json"],
+        ["reproduce", "fig2", "--grid", "8"],
+    ], ids=["langevin-omega", "jacobian-seed", "duan-grid-f-norm",
+            "steady-workers", "dispersion-omega", "phase-diagram-format",
+            "fig2-grid"])
+    def test_unread_flag_is_argparse_error(self, tmp_path, capsys, argv):
+        # each flag here used to be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["reproduce", "fig4", "--grid", "4"],
+         {"command", "figure", "omega", "grid"}),
+        (["oracle", "jacobian", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6"], {"command", "oracle_op", "L", "f_norm", "dtp",
+                            "dtl"}),
+    ], ids=["fig4", "oracle-jacobian"])
+    def test_manifest_parameters_are_flags_read(self, tmp_path, argv, keys):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["parameters"]) == keys
+
+    def test_parser_leaves(self, capsys):
+        def walk(parser, path=()):
+            yield path, parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        yield from walk(child, (*path, name))
+
+        def is_leaf(parser):
+            return not any(isinstance(a, argparse._SubParsersAction)
+                           for a in parser._actions)
+
+        parsers = list(walk(build_parser()))
+        leaves = [(path, p) for path, p in parsers if is_leaf(p)]
+        assert len(leaves) == 18
+        for path, leaf in leaves:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*path, "--help"])
+            assert exc.value.code == 0
+            flags = {s for a in leaf._actions for s in a.option_strings}
+            assert {"--config", "--out"} <= flags, path
+            assert callable(leaf.get_default("handler")), path
+        # every accepted flag slot, top level and intermediate parsers
+        # included; a flag added to a shared parent changes this count
+        slots = sum(1 for _, p in parsers for a in p._actions
+                    if a.option_strings
+                    and not isinstance(a, argparse._HelpAction))
+        assert slots == 150
 
     @pytest.mark.parametrize("section, key, value, problem", [
         ("sweep_defaults", "grid", 0, "grid must be an integer >= 1"),
@@ -134,7 +222,7 @@ class TestCli:
         raw[section][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
-        code = main(["--config", str(path), "phase-diagram", "--family",
+        code = main(["phase-diagram", "--config", str(path), "--family",
                      "TE00", "--grid", "2", "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
@@ -335,7 +423,7 @@ class TestCli:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(phases, "sweep", sweep)
-        code = main(["--config", str(path), "reproduce", "fig6",
+        code = main(["reproduce", "fig6", "--config", str(path),
                      "--grid", "4", "--out", str(tmp_path / "o")])
         assert code == 0
         assert orders == [5, 5, 5]
