@@ -102,6 +102,7 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
                      f"--{name} required with --f-norm")
         drive = NormalizedDrive(f_norm=args.f_norm, dtp=args.dtp,
                                 dtl=args.dtl)
+        args.L = None  # unread by a raw drive: kept out of the manifest
         return drive, fluct.DEFAULT_INTRINSIC_FRACTION
     _require(None not in physical,
              "provide --family/--L/--detuning-ghz/--apin-v-per-m "
@@ -118,6 +119,7 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
 
 def _axes_from_args(args, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sweep axes from the flags, else the config; checked before use."""
+    _require(args.workers >= 1, "--workers must be >= 1")
     axes = dict(cfg.sweep_defaults)
     for key, flag in (("delta_min_ghz", args.delta_min_ghz),
                       ("delta_max_ghz", args.delta_max_ghz),
@@ -190,6 +192,7 @@ def _cmd_dispersion(args, cfg: RunConfig, out: Path) -> list[Path]:
 def _cmd_overlap(args, cfg: RunConfig, out: Path) -> list[Path]:
     _require(args.f_min_thz < args.f_max_thz,
              "--f-min-thz must be below --f-max-thz")
+    _require(args.tolerance_ghz > 0, "--tolerance-ghz must be > 0")
     return _emit_table(args, out, "overlap", *_overlap_table(
         _families_arg(cfg, args.families),
         (args.f_min_thz * 1e12, args.f_max_thz * 1e12),
@@ -198,6 +201,7 @@ def _cmd_overlap(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _cmd_transmission(args, cfg: RunConfig, out: Path) -> list[Path]:
     _require(args.samples >= 2, "--samples must be >= 2")
+    _require(args.span_ghz > 0, "--span-ghz must be > 0")
     header, rows, series = _transmission_table(
         _families_arg(cfg, args.families), args.center_thz * 1e12,
         args.span_ghz * 1e9 / 2.0, args.samples,
@@ -232,18 +236,14 @@ def _complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
-def _witness(args, cfg: RunConfig):
-    """Operating state, noise spectrum, σ and witness at the CLI point."""
-    drive, intrinsic = _operating_point(args, cfg)
-    op = phases.operating_state(drive, intrinsic)
-    return (op, *op.witness(args.omega))
-
-
 def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> list[Path]:
-    op, spec, sigma, result = _witness(args, cfg)
+    op = phases.operating_state(*_operating_point(args, cfg))
+    spec = fluct.noise_spectrum(op.system, args.omega)
+    sigma = duan_mod.quadrature_covariance(spec)
+    c_min = op.witness(args.omega).c_min
     payload = {
         "omega": args.omega,
-        "phase": op.phase(result.c_min, cfg.tolerances.epsilon_ne).value,
+        "phase": op.phase(c_min, cfg.tolerances.epsilon_ne).value,
         "s": _complex_matrix(spec.s),
         "s_minus": _complex_matrix(spec.s_minus),
         "quadrature_covariance": [[float(v) for v in row] for row in sigma],
@@ -256,8 +256,10 @@ def _cmd_duan(args, cfg: RunConfig, out: Path) -> list[Path]:
     if args.sigma_json is not None:
         result = duan_mod.minimize_duan(_load_sigma(args.sigma_json))
         phase = None
+        args.L = args.omega = None  # unread: kept out of the manifest
     else:
-        op, _, _, result = _witness(args, cfg)
+        op = phases.operating_state(*_operating_point(args, cfg))
+        result = op.witness(args.omega)
         phase = op.phase(result.c_min, cfg.tolerances.epsilon_ne).value
     payload = {"c_min": result.c_min, "theta_plus": result.theta_plus,
                "theta_minus": result.theta_minus,
@@ -366,6 +368,8 @@ def _cmd_best_pump(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _oracle_duan_grid(args, cfg: RunConfig, out: Path) -> list[Path]:
     _require(args.sigma_json is not None, "duan-grid requires --sigma-json")
+    _require(args.grid_n >= oracle.MIN_DUAN_GRID,
+             f"--grid-n must be >= {oracle.MIN_DUAN_GRID}")
     c_min, (tp, tm) = oracle.brute_force_duan(_load_sigma(args.sigma_json),
                                               args.grid_n)
     payload = {"c_min": c_min, "theta_plus": tp, "theta_minus": tm,
@@ -375,6 +379,7 @@ def _oracle_duan_grid(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _oracle_mean_field(args, cfg: RunConfig, out: Path) -> list[Path]:
     drive, _ = _operating_point(args, cfg)
+    _require(args.dt > 0 and args.t_end > 0, "--dt and --t-end must be > 0")
     init = oracle.MeanFieldState(args.alpha0, args.alpha0, args.alpha0)
     times, traj = oracle.integrate_mean_field(init, drive, args.t_end,
                                               args.dt, sample_every=50)
@@ -403,8 +408,11 @@ def _oracle_jacobian(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _oracle_langevin(args, cfg: RunConfig, out: Path) -> list[Path]:
     drive, intrinsic = _operating_point(args, cfg)
-    _require(args.n_samples >= 1000,  # the oracle's own floor
-             "--n-samples must be at least 1000")
+    burn = oracle.LANGEVIN_BURN_IN
+    _require(args.n_samples >= oracle.MIN_LANGEVIN_SAMPLES,
+             f"--n-samples must be at least {oracle.MIN_LANGEVIN_SAMPLES}")
+    _require(args.dt > 0 and args.t_end >= burn + args.dt,
+             f"--dt must be > 0 and --t-end at least {burn:g} + --dt")
     sys_ = phases.operating_state(drive, intrinsic).system
     cov, se = oracle.langevin_covariance(
         sys_.m, intrinsic, args.n_samples, args.t_end, args.dt, args.seed)

@@ -15,14 +15,13 @@ minimum over the two angles certifies entanglement, and its depth is the
 usable entanglement degree. Vacuum sits exactly on the boundary,
 C_min = 0.
 
-In the closed trig form of C the angles enter through one 2θ₋ and one
-2θ₊ harmonic plus |cos(θ₊ − θ₋)|. Every σ on the operating path comes
-from a pump-only state, whose two harmonics are equal; ``exact_duan``
-then gives the minimum in closed form, and it is what the phase
-classification and the single-point commands use. ``minimize_duan``, a
-deterministic coarse grid plus coordinate descent, serves a general σ
-(``duan --sigma-json``). The exhaustive grid scan lives in
-``kerrcomb.oracle`` and is used only as a test oracle.
+On the operating path every σ comes from a pump-only state, where the
+chain M → S(±ω) → σ → C_min has a closed form, ``pump_only_witness``
+(docs/derivation.md); the phase classification and the single-point
+commands use it. ``quadrature_covariance`` and ``minimize_duan`` (a
+coarse grid plus coordinate descent) serve a general σ
+(``duan --sigma-json``) and the printed spectra. The exhaustive grid
+scan in ``kerrcomb.oracle`` is used only as a test oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluct import NoiseSpectrum
+from .fluct import NoiseSpectrum, SingularResolventError
 
 __all__ = [
     "DuanResult",
@@ -41,7 +40,7 @@ __all__ = [
     "quadrature_covariance",
     "duan_value",
     "minimize_duan",
-    "exact_duan",
+    "pump_only_witness",
 ]
 
 # (a, a†, a, a†) -> (X1, Y1, X2, Y2)
@@ -165,23 +164,23 @@ def minimize_duan(sigma: np.ndarray) -> DuanResult:
                       theta_minus=float(tm), entangled=bool(best < -1e-12))
 
 
-def exact_duan(sigma: np.ndarray) -> DuanResult:
-    """Exact minimum of C for a σ whose two harmonics are equal.
+def pump_only_witness(ap2: float, dtl: float, omega: float,
+                      intrinsic_fraction: float) -> DuanResult:
+    """Exact minimized witness of a pump-only state at analysis frequency ω.
 
-    With w = r·e^{iα} built from either harmonic's (cos 2θ, sin 2θ)
-    coefficients, C = const + r·cos(2θ₋ − α) + r·cos(2θ₊ − α)
-    − |cos(θ₊ − θ₋)|. Each term reaches its lower bound at
-    θ₊ = θ₋ = (α + π)/2, so C_min = const − 2r − 1 exactly. The
-    harmonics are equal when Var X₁ + Var X₂ = Var Y₁ + Var Y₂ and
-    Cov(X₁, Y₁) + Cov(X₂, Y₂) = 0, as for every pump-only state; any
-    other σ raises ValueError and belongs to ``minimize_duan``.
+    With x = ap2, δ = 2x − Δ̃_L, q = 1 + δ² − x² − ω², z = 2δ + i(2 − q)
+    and η = intrinsic_fraction: C_min = −4(1 − η)x/(2x + |z|) at
+    θ₊ = θ₋ = ((arg z + π)/2) mod π (docs/derivation.md). Like
+    ``noise_spectrum`` it raises SingularResolventError when
+    |det(iω − M)| = q² + 4ω² is below 1e-14.
     """
-    const, cm2, sm2, cp2, sp2 = _trig_coefficients(sigma)
-    w = complex(cm2, sm2)
-    if abs(w - complex(cp2, sp2)) > 1e-12 * max(1.0, abs(const)):
-        raise ValueError("the two witness harmonics differ; use "
-                         "minimize_duan for a general covariance")
-    best = const - 2.0 * abs(w) - 1.0
-    theta = ((cmath.phase(w) + math.pi) / 2.0) % math.pi
-    return DuanResult(c_min=float(best), theta_plus=theta,
-                      theta_minus=theta, entangled=bool(best < -1e-12))
+    delta = 2.0 * ap2 - dtl
+    q = 1.0 + delta * delta - ap2 * ap2 - omega * omega
+    if q * q + 4.0 * omega * omega < 1e-14:
+        raise SingularResolventError(f"iω − M singular at ω = {omega:g}")
+    z = complex(2.0 * delta, 2.0 - q)
+    c_min = float(-4.0 * (1.0 - intrinsic_fraction) * ap2
+                  / (2.0 * ap2 + abs(z)))
+    theta = ((cmath.phase(z) + math.pi) / 2.0) % math.pi
+    return DuanResult(c_min=c_min, theta_plus=theta, theta_minus=theta,
+                      entangled=c_min < -1e-12)

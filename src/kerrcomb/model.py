@@ -87,9 +87,9 @@ class ModalFamily:
     n_eff : float
         Effective refractive index.
     eta : float
-        Kerr frequency shift per intracavity photon, rad/s. Tabulated
-        values take precedence over the geometric estimate
-        (see ``nonlinear_rate``).
+        Kerr frequency shift per intracavity photon, rad/s, used by every
+        computation. ``nonlinear_rate``, which no command calls, warns
+        when its geometric estimate differs from it by more than 20%.
     g0 : float
         Auxiliary nonlinear figure as tabulated (µm²). Opaque metadata,
         not used in any computation.

@@ -38,6 +38,10 @@ __all__ = [
     "brute_force_duan",
 ]
 
+MIN_LANGEVIN_SAMPLES = 1000
+LANGEVIN_BURN_IN = 50.0
+MIN_DUAN_GRID = 64
+
 
 class NonFiniteError(FloatingPointError):
     """Trajectory blew up (non-finite amplitude encountered)."""
@@ -230,7 +234,7 @@ def fd_jacobian(state: SteadyState, drive: NormalizedDrive,
 
 def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
                         n_samples: int, t_end: float, dt: float,
-                        seed: int, t_burn: float = 50.0,
+                        seed: int, t_burn: float = LANGEVIN_BURN_IN,
                         n_batches: int = 25) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimate of the zero-frequency output covariance.
 
@@ -262,7 +266,7 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
     seed; batch seeds are spawned up front so the result does not depend
     on how work is grouped.
     """
-    if n_samples < 1000:
+    if n_samples < MIN_LANGEVIN_SAMPLES:
         raise ValueError("n_samples must be >= 1e3 for meaningful errors")
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -345,8 +349,8 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
 def brute_force_duan(sigma: np.ndarray, grid_n: int = 1024,
                      ) -> tuple[float, tuple[float, float]]:
     """Exhaustive witness minimum over a grid_n × grid_n angle grid."""
-    if grid_n < 64:
-        raise ValueError("grid_n must be >= 64")
+    if grid_n < MIN_DUAN_GRID:
+        raise ValueError(f"grid_n must be >= {MIN_DUAN_GRID}")
     v_xm = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0)
     v_ym = np.array([0.0, 1.0, 0.0, -1.0]) / math.sqrt(2.0)
     v_xp = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)

@@ -24,10 +24,9 @@ from enum import Enum
 
 import numpy as np
 
-from .duan import DuanResult, exact_duan, quadrature_covariance
-from .fluct import (DEFAULT_INTRINSIC_FRACTION, FluctuationSystem,
-                    NoiseSpectrum, build_m, max_eigenvalue_real,
-                    noise_spectrum)
+from .duan import DuanResult, pump_only_witness
+from .fluct import (DEFAULT_INTRINSIC_FRACTION, FluctuationSystem, build_m,
+                    max_eigenvalue_real)
 from .model import ModalFamily, NormalizedDrive, OperatingPoint, normalize
 from .steady import SteadyState, parametric_branch, pump_only_branches
 
@@ -68,7 +67,7 @@ class PhasePoint:
 
     c_min is NaN on MI cells, where the below-threshold witness is not
     defined. n_branches counts pump-only roots; max_eig_re is evaluated
-    at the lowest stable root.
+    at the lowest one.
     """
 
     phase: Phase
@@ -111,8 +110,10 @@ class SweepGrid:
 class OperatingState:
     """Everything the classification reads at one normalized drive.
 
-    ``state`` is the first stable pump-only root, else the first root;
-    ``system`` and ``max_eig_re`` belong to that state.
+    ``state`` is the lowest pump-only root, the one a drive raised from
+    the dark cavity follows (at the upper fold, the marginal double
+    root); ``system`` and ``max_eig_re`` belong to that state, and
+    ``dtl`` and ``intrinsic_fraction`` fix its witness.
     """
 
     roots: tuple[SteadyState, ...]
@@ -120,6 +121,8 @@ class OperatingState:
     parametric: tuple[SteadyState, ...]
     system: FluctuationSystem
     max_eig_re: float
+    dtl: float
+    intrinsic_fraction: float
 
     @property
     def is_mi(self) -> bool:
@@ -132,33 +135,30 @@ class OperatingState:
             return Phase.MI
         return Phase.ET if c_min < -epsilon_ne else Phase.NE
 
-    def witness(self, omega: float = 0.0,
-                ) -> tuple[NoiseSpectrum, np.ndarray, DuanResult]:
-        """Noise spectrum at ω, its covariance σ and σ's exact witness."""
-        spec = noise_spectrum(self.system, omega)
-        sigma = quadrature_covariance(spec)
-        return spec, sigma, exact_duan(sigma)
+    def witness(self, omega: float = 0.0) -> DuanResult:
+        """The exact minimized witness of ``state`` at ω."""
+        return pump_only_witness(self.state.ap2, self.dtl, omega,
+                                 self.intrinsic_fraction)
 
 
 def operating_state(drive: NormalizedDrive,
                     intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
                     ) -> OperatingState:
-    """Pump-only roots, parametric states and the selected root's M."""
+    """Pump-only roots, parametric states and the lowest root's M."""
     roots = pump_only_branches(drive.f_norm, drive.dtp)
     par = parametric_branch(drive.f_norm, drive.dtp, drive.dtl)
-    state = next((s for s in roots if s.stable), roots[0])
+    state = roots[0]
     system = build_m(state, drive.dtl, intrinsic_fraction=intrinsic_fraction)
     return OperatingState(roots=tuple(roots), state=state,
                           parametric=tuple(par), system=system,
-                          max_eig_re=max_eigenvalue_real(system))
+                          max_eig_re=max_eigenvalue_real(system),
+                          dtl=drive.dtl, intrinsic_fraction=intrinsic_fraction)
 
 
 def classify_state(op: OperatingState, omega: float = 0.0,
                    epsilon_ne: float = EPSILON_NE) -> PhasePoint:
     """Classify an operating state; the witness is skipped on MI."""
-    c_min = math.nan
-    if not op.is_mi:
-        c_min = op.witness(omega)[2].c_min
+    c_min = math.nan if op.is_mi else op.witness(omega).c_min
     return PhasePoint(phase=op.phase(c_min, epsilon_ne), c_min=c_min,
                       n_branches=len(op.roots), max_eig_re=op.max_eig_re,
                       has_parametric=bool(op.parametric))

@@ -169,26 +169,24 @@ def _pump_only_psi(dtp: float, x: float) -> float:
 def pump_only_branches(f_norm: float, dtp: float) -> list[SteadyState]:
     """All pump-only steady states (y = 0), sorted by pump power.
 
-    Between one and three roots exist; with three, the middle one is the
-    unstable back-bend of the bistability curve. Stability here is the
-    single-mode Kerr rule (slope of F² versus x); parametric instability
-    of these states is the business of the fluctuation matrix.
+    Between one and three roots exist. Stability is the single-mode Kerr
+    rule, dF²/dx > 0: the middle of three roots (the back-bend) and the
+    double root of two (a fold, marginal) are unstable, so the lowest
+    root is stable except at the upper fold. Parametric instability of
+    these states is the business of the fluctuation matrix.
     """
     if not (math.isfinite(f_norm) and math.isfinite(dtp)):
         raise ValueError("f_norm and dtp must be finite")
     if f_norm < 0:
         raise ValueError("f_norm must be nonnegative")
     roots = _cubic_roots(dtp, f_norm * f_norm)
-    n = len(roots)
-    states = []
-    for i, x in enumerate(roots):
-        stable = not (n == 3 and i == 1)
-        if n == 2 and i == 1:
-            stable = False  # fold point, marginal
-        states.append(SteadyState(ap2=x, a2=0.0, phi=0.0,
-                                  psi=_pump_only_psi(dtp, x),
-                                  branch=Branch.PUMP_ONLY, stable=stable))
-    return states
+    unstable = 1
+    if len(roots) == 2:  # the double root is where dF²/dx vanishes
+        unstable = min((0, 1), key=lambda i: abs(
+            1.0 + dtp * dtp - 4.0 * dtp * roots[i] + 3.0 * roots[i] ** 2))
+    return [SteadyState(ap2=x, a2=0.0, phi=0.0, psi=_pump_only_psi(dtp, x),
+                        branch=Branch.PUMP_ONLY, stable=i != unstable)
+            for i, x in enumerate(roots)]
 
 
 def bistability_turning_points(dtp: float) -> tuple[tuple[float, float],

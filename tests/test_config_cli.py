@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from kerrcomb import phases, steady
@@ -128,12 +129,25 @@ class TestCli:
         (["duan", "--f-norm", "1.6", "--dtp", "2.4", "--dtl", "2.4",
           "--detuning-ghz", "0.36", "--apin-v-per-m", "1.1e7"],
          "--f-norm excludes"),
+        (["transmission", "--span-ghz", "0"], "--span-ghz must be > 0"),
+        (["overlap", "--tolerance-ghz", "-1"],
+         "--tolerance-ghz must be > 0"),
+        (["oracle", "langevin", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6", "--t-end", "10"], "--t-end at least 50"),
+        (["oracle", "duan-grid", "--sigma-json", "sigma.json",
+          "--grid-n", "10"], "--grid-n must be >= 64"),
+        (["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6", "--dt", "0"], "--dt and --t-end must be > 0"),
+        (["phase-diagram", "--family", "TE00", "--grid", "2",
+          "--workers", "0"], "--workers must be >= 1"),
     ], ids=["no-point", "f-norm-without-dtl", "duan-grid-without-sigma",
             "langevin-few-samples", "unknown-family",
             "unknown-family-in-list", "L-zero", "phase-diagram-L-zero",
             "Ls-zero", "Ls-malformed", "l-min-above-l-max",
             "f-min-above-f-max", "one-sample", "f-norm-with-family",
-            "f-norm-with-physical-point"])
+            "f-norm-with-physical-point", "zero-span", "negative-tolerance",
+            "langevin-inside-burn-in", "duan-grid-coarse", "zero-dt",
+            "zero-workers"])
     def test_usage_error_exit_code(self, tmp_path, capsys, argv, problem):
         code = main([*argv, "--out", str(tmp_path / "o")])
         assert code == 2
@@ -168,10 +182,16 @@ class TestCli:
         (["reproduce", "fig4", "--grid", "4"],
          {"command", "figure", "omega", "grid"}),
         (["oracle", "jacobian", "--f-norm", "1.2", "--dtp", "1.6",
-          "--dtl", "1.6"], {"command", "oracle_op", "L", "f_norm", "dtp",
-                            "dtl"}),
-    ], ids=["fig4", "oracle-jacobian"])
+          "--dtl", "1.6"], {"command", "oracle_op", "f_norm", "dtp", "dtl"}),
+        (["steady", "--f-norm", "1.2", "--dtp", "1.6", "--dtl", "1.6"],
+         {"command", "f_norm", "dtp", "dtl"}),
+        (["duan", "--sigma-json", "SIGMA"], {"command", "sigma_json"}),
+    ], ids=["fig4", "oracle-jacobian", "steady-raw", "duan-sigma"])
     def test_manifest_parameters_are_flags_read(self, tmp_path, argv, keys):
+        # a raw drive reads no --L, and a --sigma-json run no --L/--omega
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps((0.5 * np.eye(4)).tolist()))
+        argv = [str(sigma) if a == "SIGMA" else a for a in argv]
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -382,6 +402,22 @@ class TestCli:
             json.loads((fig7 / "fig7_best_pump.json").read_text())
         assert payload["slm_weights"] == \
             composite_pump_weights(payload["amplitudes_v_per_m"])
+
+    @pytest.mark.parametrize("argv, name", [
+        (["reproduce", "fig4"], "fig4_TE00_L1.csv"),
+        (["phase-diagram", "--family", "TE00"], "phase_TE00_L1.csv"),
+    ], ids=["fig4", "phase-diagram"])
+    def test_phase_csv_numbers_parse(self, tmp_path, argv, name):
+        # a numpy scalar written with repr() reads "np.float64(...)"
+        out = tmp_path / "o"
+        assert main([*argv, "--grid", "4", "--out", str(out)]) == 0
+        lines = (out / name).read_text().splitlines()
+        header = lines[0].split(",")
+        assert len(lines) == 1 + 16
+        for line in lines[1:]:
+            for key, field in zip(header, line.split(","), strict=True):
+                if key != "phase":
+                    float(field)
 
     def test_single_point_witness_matches_grid_cell(self, tmp_path):
         # duan at a grid cell reports that cell's c_min bit for bit

@@ -11,8 +11,8 @@ from kerrcomb.duan import (
     NotSymmetricError,
     _trig_coefficients,
     duan_value,
-    exact_duan,
     minimize_duan,
+    pump_only_witness,
     quadrature_covariance,
 )
 from kerrcomb.fluct import (C_VAC, NoiseSpectrum, SingularResolventError,
@@ -59,19 +59,35 @@ def random_physical_sigma(rng) -> np.ndarray:
     return out
 
 
-def operating_sigmas(rng, n: int) -> list[np.ndarray]:
-    """σ of the operating state at seeded drives that do not classify MI;
-    every other drive is analysed at a random ω in [0, 3]."""
-    sigmas = []
-    while len(sigmas) < n:
+def operating_points(rng, n: int) -> list[tuple]:
+    """(operating state, ω, chain σ) at seeded drives that do not classify
+    MI; every other drive is analysed at a random ω in [0, 3]."""
+    points = []
+    while len(points) < n:
         dtp = float(rng.uniform(-1.0, 6.0))
         drive = NormalizedDrive(f_norm=float(rng.uniform(0.05, 3.0)),
                                 dtp=dtp, dtl=dtp + float(rng.uniform(0, 0.2)))
-        omega = float(rng.uniform(0.0, 3.0)) if len(sigmas) % 2 else 0.0
+        omega = float(rng.uniform(0.0, 3.0)) if len(points) % 2 else 0.0
         op = phases.operating_state(drive)
         if not op.is_mi:
-            sigmas.append(op.witness(omega)[1])
-    return sigmas
+            sigma = quadrature_covariance(noise_spectrum(op.system, omega))
+            points.append((op, omega, sigma))
+    return points
+
+
+def equal_harmonics_min(sigma: np.ndarray) -> float:
+    """C_min = const − 2|w| − 1 of a σ whose two witness harmonics are the
+    same w, reached at θ₊ = θ₋ = (arg w + π)/2 where every term of C is
+    at its own lower bound."""
+    const, cm2, sm2, _, _ = _trig_coefficients(sigma)
+    return const - 2.0 * abs(complex(cm2, sm2)) - 1.0
+
+
+def resolvent_det(x: float, dtl: float, omega: float) -> float:
+    """D = |det(iω − M)| of a pump-only state, as the closed form uses it."""
+    delta = 2.0 * x - dtl
+    q = 1.0 + delta * delta - x * x - omega * omega
+    return q * q + 4.0 * omega * omega
 
 
 def smallest_pt_symplectic_eigenvalue(sigma: np.ndarray) -> float:
@@ -204,12 +220,14 @@ class TestMinimizeDuan:
 
 
 class TestExactDuan:
+    """The exact Duan minimum on the operating path, pump_only_witness."""
+
     def test_simon_identity_on_operating_states(self, rng):
         # c_min = 2ν̃₋ − 1: the rotated witness is PPT-tight on the
         # operating path, checked through an unrelated eigen-solve
-        for sigma in operating_sigmas(rng, 300):
+        for op, omega, sigma in operating_points(rng, 300):
             nu = smallest_pt_symplectic_eigenvalue(sigma)
-            assert exact_duan(sigma).c_min == pytest.approx(2.0 * nu - 1.0,
+            assert op.witness(omega).c_min == pytest.approx(2.0 * nu - 1.0,
                                                             abs=1e-12)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
@@ -227,27 +245,83 @@ class TestExactDuan:
             assert abs(complex(cm2, sm2) - complex(cp2, sp2)) <= \
                 1e-12 * max(1.0, abs(const))
 
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(f=st.floats(0.0, 3.0, exclude_min=True),
+           dtp=st.floats(-1.0, 6.0), dtl=st.floats(-1.0, 6.0),
+           omega=st.floats(0.01, 3.0),
+           intrinsic=st.floats(0.0, 1.0, exclude_min=True,
+                               exclude_max=True))
+    def test_matches_generic_chain(self, f, dtp, dtl, omega, intrinsic):
+        # near-marginal states cost the chain digits, so the tolerance
+        # grows as 1/D once D = |det(iω − M)| drops below 1
+        for state in pump_only_branches(f, dtp):
+            try:
+                sigma = quadrature_covariance(noise_spectrum(
+                    build_m(state, dtl, intrinsic_fraction=intrinsic), omega))
+            except SingularResolventError:
+                continue
+            chain = equal_harmonics_min(sigma)
+            tol = 1e-12 * max(1.0, abs(chain)) / min(
+                1.0, resolvent_det(state.ap2, dtl, omega))
+            res = pump_only_witness(state.ap2, dtl, omega, intrinsic)
+            assert abs(res.c_min - chain) <= tol
+            assert abs(duan_value(sigma, res.theta_plus, res.theta_minus)
+                       - chain) <= tol
+
+    @pytest.mark.parametrize("intrinsic", [0.0, 0.2, 0.45, 0.9])
+    def test_threshold_limit(self, intrinsic):
+        # on resonance (δ = 0) at ω = 0 the witness is −4(1 − η)x/(1 + x)²,
+        # which tends to the escape-efficiency limit −(1 − η) as x → 1
+        for x in (0.5, 0.9, 0.999, 1.0 - 1e-6):
+            c_min = pump_only_witness(x, 2.0 * x, 0.0, intrinsic).c_min
+            assert c_min == pytest.approx(
+                -4.0 * (1.0 - intrinsic) * x / (1.0 + x) ** 2, rel=1e-12)
+        assert c_min == pytest.approx(-(1.0 - intrinsic), abs=1e-12)
+
+    def test_zero_without_gain_or_escape(self, rng):
+        # no pump (x = 0) or no escape (η = 1): vacuum at the output
+        for _ in range(50):
+            x, dtl = float(rng.uniform(0.0, 3.0)), float(rng.uniform(-3, 6))
+            omega = float(rng.uniform(0.0, 3.0))
+            for res in (pump_only_witness(0.0, dtl, omega, 0.45),
+                        pump_only_witness(x, dtl, omega, 1.0)):
+                assert res.c_min == 0.0 and not res.entangled
+
+    def test_marginal_state_raises(self):
+        # x = 1, δ = 0, ω = 0 is the parametric threshold: D = 0
+        with pytest.raises(SingularResolventError):
+            pump_only_witness(1.0, 2.0, 0.0, 0.45)
+        x = 1.0 + 1e-8  # D = (x² − 1)² ≈ 4e-16
+        with pytest.raises(SingularResolventError):
+            pump_only_witness(x, 2.0 * x, 0.0, 0.45)
+
+    def test_returns_python_floats(self):
+        res = pump_only_witness(np.float64(0.8), np.float64(1.55), 0.0, 0.45)
+        assert type(res.c_min) is float and type(res.theta_plus) is float
+        assert type(res.entangled) is bool
+
     def test_reported_angles_reach_c_min(self, rng):
-        for sigma in [VACUUM, squeezer_sigma()] + operating_sigmas(rng, 60):
-            res = exact_duan(sigma)
+        for op, omega, sigma in operating_points(rng, 60):
+            res = op.witness(omega)
             assert res.theta_plus == res.theta_minus
             assert 0.0 <= res.theta_plus < math.pi
             value = duan_value(sigma, res.theta_plus, res.theta_minus)
             assert value == pytest.approx(res.c_min, abs=1e-12)
 
     def test_agrees_with_descent(self, rng):
-        sigmas = [VACUUM, squeezer_sigma()] + operating_sigmas(rng, 60)
+        points = operating_points(rng, 60)
+        sigmas = [VACUUM, squeezer_sigma()] + [s for _, _, s in points]
         sigmas += [random_physical_sigma(rng) for _ in range(40)]
         for sigma in sigmas:
-            exact, descent = exact_duan(sigma), minimize_duan(sigma)
-            assert exact.c_min == pytest.approx(descent.c_min, abs=1e-9)
-            assert exact.c_min <= descent.c_min + 1e-14
-            assert exact.entangled == descent.entangled
-
-    def test_unequal_harmonics_rejected(self):
-        # one locally squeezed mode: Var X₁ + Var X₂ ≠ Var Y₁ + Var Y₂
-        with pytest.raises(ValueError, match="harmonics differ"):
-            exact_duan(np.diag([0.25, 1.0, 0.5, 0.5]))
+            exact, descent = equal_harmonics_min(sigma), minimize_duan(sigma)
+            assert exact == pytest.approx(descent.c_min, abs=1e-9)
+            assert exact <= descent.c_min + 1e-14
+            assert (exact < -1e-12) == descent.entangled
+        # the closed form reaches the descent's minimum of the chain σ
+        for op, omega, sigma in points:
+            closed, descent = op.witness(omega), minimize_duan(sigma)
+            assert closed.c_min == pytest.approx(descent.c_min, abs=1e-9)
+            assert closed.entangled == descent.entangled
 
 
 class TestWitnessProperties:
@@ -261,8 +335,8 @@ class TestWitnessProperties:
         # witness is minimized over rotations
         for state in pump_only_branches(f, dtp):
             try:
-                c = [exact_duan(quadrature_covariance(noise_spectrum(
-                    build_m(s, dtl), omega))).c_min
+                c = [equal_harmonics_min(quadrature_covariance(
+                    noise_spectrum(build_m(s, dtl), omega)))
                      for s in (state, replace(state, phi=theta))]
             except SingularResolventError:
                 continue
@@ -278,5 +352,5 @@ class TestWitnessProperties:
         assert np.max(np.abs(spec.s_minus - C_VAC)) < 1e-12
         sigma = quadrature_covariance(spec)
         assert np.max(np.abs(sigma - VACUUM)) < 1e-12
-        result = exact_duan(sigma)
-        assert abs(result.c_min) < 1e-12 and not result.entangled
+        result = pump_only_witness(0.0, dtl, omega, intrinsic)
+        assert result.c_min == 0.0 and not result.entangled

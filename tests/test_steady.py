@@ -99,6 +99,36 @@ class TestPumpOnly:
         states = pump_only_branches(f, 2.5)
         assert [s.stable for s in states] == [True, False, True]
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(f=st.floats(0.0, 4.0), dtp=st.floats(-3.0, 6.0))
+    def test_lowest_root_off_the_back_bend(self, f, dtp):
+        # operating_state takes roots[0]: F² never falls with x there
+        states = pump_only_branches(f, dtp)
+        x = states[0].ap2
+        assert 1.0 + dtp * dtp - 4.0 * dtp * x + 3.0 * x * x >= \
+            -1e-6 * (1.0 + dtp * dtp)
+        assert states[0].stable or len(states) == 2
+
+    def test_fold_double_root_unstable(self):
+        # F² nudged by a few ulps around each fold until the cubic reports
+        # a double root: at the upper fold (F² at its local maximum) that
+        # is the lowest root, at the lower fold the highest; either way
+        # the double root is marginal and the simple root stable
+        kinds = set()
+        for dtp in np.linspace(1.75, 5.0, 40):
+            for x_fold, f2 in bistability_turning_points(float(dtp)):
+                for k in range(-200, 200):
+                    states = pump_only_branches(
+                        math.sqrt(f2 * (1.0 + k * 1e-17)), float(dtp))
+                    if len(states) != 2:
+                        continue
+                    double = min((0, 1), key=lambda i: abs(
+                        states[i].ap2 - x_fold))
+                    assert [s.stable for s in states] == \
+                        [i != double for i in (0, 1)]
+                    kinds.add(double)
+        assert kinds == {0, 1}
+
     def test_single_root_below_onset(self, rng):
         # no drive admits three roots unless dtp exceeds sqrt(3)
         for _ in range(300):
