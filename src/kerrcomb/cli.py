@@ -238,7 +238,9 @@ def _complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
 
 def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> list[Path]:
     op = phases.operating_state(*_operating_point(args, cfg))
-    spec = fluct.noise_spectrum(op.system, args.omega)
+    spec = fluct.noise_spectrum(fluct.build_m(
+        op.state, op.dtl, intrinsic_fraction=op.intrinsic_fraction),
+        args.omega)
     sigma = duan_mod.quadrature_covariance(spec)
     c_min = op.witness(args.omega).c_min
     payload = {
@@ -254,6 +256,11 @@ def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _cmd_duan(args, cfg: RunConfig, out: Path) -> list[Path]:
     if args.sigma_json is not None:
+        point = (args.family, args.detuning_ghz, args.apin_v_per_m,
+                 args.f_norm, args.dtp, args.dtl)
+        # --L and --omega show only where they differ from their defaults
+        _require(point == (None,) * 6 and (args.L, args.omega) == (1, 0.0),
+                 "--sigma-json excludes the point flags and --omega")
         result = duan_mod.minimize_duan(_load_sigma(args.sigma_json))
         phase = None
         args.L = args.omega = None  # unread: kept out of the manifest
@@ -395,7 +402,7 @@ def _oracle_mean_field(args, cfg: RunConfig, out: Path) -> list[Path]:
 def _oracle_jacobian(args, cfg: RunConfig, out: Path) -> list[Path]:
     drive, intrinsic = _operating_point(args, cfg)
     op = phases.operating_state(drive, intrinsic)
-    analytic = op.system.m
+    analytic = fluct.build_m(op.state, drive.dtl).m  # η sets no entry of M
     numeric = oracle.fd_jacobian(op.state, drive)
     payload = {
         "state": _branch_record(op.state),
@@ -413,7 +420,8 @@ def _oracle_langevin(args, cfg: RunConfig, out: Path) -> list[Path]:
              f"--n-samples must be at least {oracle.MIN_LANGEVIN_SAMPLES}")
     _require(args.dt > 0 and args.t_end >= burn + args.dt,
              f"--dt must be > 0 and --t-end at least {burn:g} + --dt")
-    sys_ = phases.operating_state(drive, intrinsic).system
+    sys_ = fluct.build_m(phases.operating_state(drive, intrinsic).state,
+                         drive.dtl, intrinsic_fraction=intrinsic)
     cov, se = oracle.langevin_covariance(
         sys_.m, intrinsic, args.n_samples, args.t_end, args.dt, args.seed)
     sigma = duan_mod.quadrature_covariance(fluct.noise_spectrum(sys_, 0.0))
@@ -505,8 +513,9 @@ def _reproduce_fig6(args, cfg: RunConfig, out: Path) -> list[Path]:
             point = phases.classify_state(
                 op, omega=args.omega, epsilon_ne=cfg.tolerances.epsilon_ne)
             a2_mean = max((s.a2 for s in op.parametric), default=0.0)
-            try:
-                pair_photons = fluct.intracavity_pair_photons(op.system)
+            try:  # the population reads only M, which η does not enter
+                pair_photons = fluct.intracavity_pair_photons(
+                    fluct.build_m(op.state, op.dtl))
             except fluct.UnstableStateError:
                 pair_photons = math.nan
             rows.append((float(delta), a_pin, op.state.ap2, a2_mean,

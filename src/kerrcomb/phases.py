@@ -25,8 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .duan import DuanResult, pump_only_witness
-from .fluct import (DEFAULT_INTRINSIC_FRACTION, FluctuationSystem, build_m,
-                    max_eigenvalue_real)
+from .fluct import DEFAULT_INTRINSIC_FRACTION
 from .model import ModalFamily, NormalizedDrive, OperatingPoint, normalize
 from .steady import SteadyState, parametric_branch, pump_only_branches
 
@@ -38,6 +37,7 @@ __all__ = [
     "JointPumpResult",
     "NoFeasiblePointError",
     "operating_state",
+    "pump_only_max_eig_re",
     "classify_state",
     "classify_drive",
     "classify_point",
@@ -61,13 +61,13 @@ class Phase(Enum):
     MI = "MI"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhasePoint:
-    """Classification record for one grid cell.
+    """Classification record for one grid cell (slotted: grids hold many).
 
     c_min is NaN on MI cells, where the below-threshold witness is not
-    defined. n_branches counts pump-only roots; max_eig_re is evaluated
-    at the lowest one.
+    defined. n_branches counts pump-only roots; max_eig_re is the closed
+    form ``pump_only_max_eig_re`` at the lowest one.
     """
 
     phase: Phase
@@ -112,14 +112,13 @@ class OperatingState:
 
     ``state`` is the lowest pump-only root, the one a drive raised from
     the dark cavity follows (at the upper fold, the marginal double
-    root); ``system`` and ``max_eig_re`` belong to that state, and
-    ``dtl`` and ``intrinsic_fraction`` fix its witness.
+    root); ``max_eig_re`` belongs to that state, and ``dtl`` and
+    ``intrinsic_fraction`` fix its witness and its ``fluct.build_m``.
     """
 
     roots: tuple[SteadyState, ...]
     state: SteadyState
     parametric: tuple[SteadyState, ...]
-    system: FluctuationSystem
     max_eig_re: float
     dtl: float
     intrinsic_fraction: float
@@ -141,18 +140,22 @@ class OperatingState:
                                  self.intrinsic_fraction)
 
 
+def pump_only_max_eig_re(ap2: float, dtl: float) -> float:
+    """Largest Re λ of M at a pump-only state (docs/derivation.md)."""
+    d = (dtl - ap2) * (3.0 * ap2 - dtl)  # x² − δ², a product: no cancelling
+    return -1.0 + math.sqrt(d) if d >= 0.0 else -1.0
+
+
 def operating_state(drive: NormalizedDrive,
                     intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
                     ) -> OperatingState:
-    """Pump-only roots, parametric states and the lowest root's M."""
+    """Pump-only roots, parametric states and the lowest root's stability."""
     roots = pump_only_branches(drive.f_norm, drive.dtp)
     par = parametric_branch(drive.f_norm, drive.dtp, drive.dtl)
-    state = roots[0]
-    system = build_m(state, drive.dtl, intrinsic_fraction=intrinsic_fraction)
-    return OperatingState(roots=tuple(roots), state=state,
-                          parametric=tuple(par), system=system,
-                          max_eig_re=max_eigenvalue_real(system),
-                          dtl=drive.dtl, intrinsic_fraction=intrinsic_fraction)
+    return OperatingState(
+        roots=tuple(roots), state=roots[0], parametric=tuple(par),
+        max_eig_re=pump_only_max_eig_re(roots[0].ap2, drive.dtl),
+        dtl=drive.dtl, intrinsic_fraction=intrinsic_fraction)
 
 
 def classify_state(op: OperatingState, omega: float = 0.0,

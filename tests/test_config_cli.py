@@ -140,6 +140,12 @@ class TestCli:
           "--dtl", "1.6", "--dt", "0"], "--dt and --t-end must be > 0"),
         (["phase-diagram", "--family", "TE00", "--grid", "2",
           "--workers", "0"], "--workers must be >= 1"),
+        (["duan", "--sigma-json", "sigma.json", "--f-norm", "1.2", "--dtp",
+          "1.6", "--dtl", "1.55", "--omega", "0.7"], "--sigma-json excludes"),
+        (["duan", "--sigma-json", "sigma.json", "--family", "TE00",
+          "--detuning-ghz", "0.36"], "--sigma-json excludes"),
+        (["duan", "--sigma-json", "sigma.json", "--L", "3"],
+         "--sigma-json excludes"),
     ], ids=["no-point", "f-norm-without-dtl", "duan-grid-without-sigma",
             "langevin-few-samples", "unknown-family",
             "unknown-family-in-list", "L-zero", "phase-diagram-L-zero",
@@ -147,7 +153,8 @@ class TestCli:
             "f-min-above-f-max", "one-sample", "f-norm-with-family",
             "f-norm-with-physical-point", "zero-span", "negative-tolerance",
             "langevin-inside-burn-in", "duan-grid-coarse", "zero-dt",
-            "zero-workers"])
+            "zero-workers", "sigma-json-with-drive", "sigma-json-with-family",
+            "sigma-json-with-L"])
     def test_usage_error_exit_code(self, tmp_path, capsys, argv, problem):
         code = main([*argv, "--out", str(tmp_path / "o")])
         assert code == 2

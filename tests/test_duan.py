@@ -70,7 +70,9 @@ def operating_points(rng, n: int) -> list[tuple]:
         omega = float(rng.uniform(0.0, 3.0)) if len(points) % 2 else 0.0
         op = phases.operating_state(drive)
         if not op.is_mi:
-            sigma = quadrature_covariance(noise_spectrum(op.system, omega))
+            system = build_m(op.state, op.dtl,
+                             intrinsic_fraction=op.intrinsic_fraction)
+            sigma = quadrature_covariance(noise_spectrum(system, omega))
             points.append((op, omega, sigma))
     return points
 

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kerrcomb import phases, steady
+from kerrcomb import fluct, phases, steady
+from kerrcomb.duan import pump_only_witness
+from kerrcomb.fluct import build_m, max_eigenvalue_real
 from kerrcomb.model import NormalizedDrive, OperatingPoint, normalize
 from kerrcomb.phases import (
     JointPumpResult,
@@ -14,6 +18,7 @@ from kerrcomb.phases import (
     best_joint_pump,
     classify_drive,
     classify_point,
+    pump_only_max_eig_re,
     sweep,
 )
 
@@ -117,6 +122,89 @@ class TestSweep:
     def test_axis_validation(self, te00, resonator):
         with pytest.raises(ValueError):
             sweep(te00, resonator, 1, np.array([2.0, 1.0]), np.array([1.0]))
+
+
+def pump_only_state(x):
+    return steady.SteadyState(ap2=x, a2=0.0, phi=0.0, psi=0.0,
+                              branch=steady.Branch.PUMP_ONLY, stable=True)
+
+
+def matrix_path_point(drive, intrinsic):
+    """A cell classified with M and its eigen-solve on ``roots[0]``."""
+    roots = steady.pump_only_branches(drive.f_norm, drive.dtp)
+    parametric = steady.parametric_branch(drive.f_norm, drive.dtp, drive.dtl)
+    eig = max_eigenvalue_real(build_m(roots[0], drive.dtl,
+                                      intrinsic_fraction=intrinsic))
+    if len(roots) > 1 or parametric or eig >= 0.0:
+        return Phase.MI, math.nan, eig
+    c_min = pump_only_witness(roots[0].ap2, drive.dtl, 0.0, intrinsic).c_min
+    return (Phase.ET if c_min < -phases.EPSILON_NE else Phase.NE), c_min, eig
+
+
+class TestPumpOnlyStability:
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(x=st.floats(0.0, 10.0), dtl=st.floats(-5.0, 10.0))
+    @example(x=1.0, dtl=1.0)   # d = 0: B is a Jordan block
+    @example(x=2.5, dtl=7.5)
+    @example(x=3.0, dtl=-5.0)  # d < 0
+    def test_matches_eigen_solve(self, x, dtl):
+        closed = pump_only_max_eig_re(x, dtl)
+        d = (dtl - x) * (3.0 * x - dtl)
+        if d < 0.0:
+            assert closed == -1.0
+        # The reference, not the closed form, loses digits as d → 0:
+        # there B turns defective and an eigen-solve is good only to
+        # ~ε s²/√(|d| + ε s²), s the size of B. For |d| above ~1e-5 the
+        # first bound is the tighter one.
+        s2 = max(1.0, x, abs(2.0 * x - dtl)) ** 2
+        eps = np.finfo(float).eps
+        tol = max(1e-12 * max(1.0, x),
+                  16.0 * eps * s2 / math.sqrt(abs(d) + eps * s2))
+        reference = max_eigenvalue_real(build_m(pump_only_state(x), dtl))
+        assert abs(closed - reference) <= tol
+
+    @pytest.mark.parametrize("x, dtl", [
+        (1.0, 2.0), (1.25, 3.25), (1.25, 1.75), (17 / 8, 49 / 8),
+        (17 / 8, 19 / 8)])
+    def test_marginal_on_the_d_equals_one_boundary(self, x, dtl):
+        # x² − δ² = 1 exactly at these binary fractions
+        assert (dtl - x) * (3.0 * x - dtl) == 1.0
+        assert abs(pump_only_max_eig_re(x, dtl)) <= 1e-15
+
+    @pytest.mark.parametrize("x, dtl", [(3.0, -5.0), (0.5, 0.2),
+                                        (0.1, 9.0), (4.0, 12.5)])
+    def test_complex_pair_is_exactly_minus_one(self, x, dtl):
+        assert pump_only_max_eig_re(x, dtl) == -1.0
+
+    def test_cell_path_builds_no_matrix(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a 4x4 matrix on the cell path")
+
+        monkeypatch.setattr(fluct, "build_m", boom)
+        monkeypatch.setattr(fluct.FluctuationSystem, "__post_init__", boom)
+        monkeypatch.setattr(np.linalg, "eigvals", boom)
+        # Δ̃_L ≤ √3: no parametric bracket, so steady solves nothing either
+        point = classify_drive(drive_of(1.2, 1.6, 1.55))
+        assert isinstance(point, PhasePoint)
+        assert point.error == ""
+        assert point.phase is Phase.ET
+
+    def test_grid_equals_matrix_path(self, te00, resonator):
+        deltas = np.linspace(-0.1e9, 0.8e9, 16)
+        amps = np.linspace(2e5, 2.8e7, 16)
+        for L in (1, 2, 3):
+            grid = sweep(te00, resonator, L, deltas, amps)
+            for i, delta in enumerate(deltas):
+                for j, amp in enumerate(amps):
+                    drive = normalize(OperatingPoint(
+                        family=te00, L=L, delta_p0=float(delta),
+                        a_pin=float(amp)), resonator)
+                    phase, c_min, eig = matrix_path_point(
+                        drive, te00.intrinsic_fraction)
+                    cell = grid.points[i][j]
+                    assert cell.phase is phase
+                    assert repr(cell.c_min) == repr(c_min)
+                    assert abs(cell.max_eig_re - eig) <= 1e-12
 
 
 class TestBestJointPump:
