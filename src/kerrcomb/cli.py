@@ -5,8 +5,8 @@ phase-diagram, best-pump, oracle {mean-field, jacobian, langevin,
 duan-grid} and reproduce {fig2 ... fig7}. Each is an argparse leaf that
 takes, after the command name, only the flags its handler reads. Outputs
 are CSV/JSON/SVG files in --out plus a manifest.json carrying the config
-digest, per-file checksums and those flags (--workers aside: outputs are
-byte-identical for any value).
+digest, per-file checksums and those flags (--workers aside: sweeps run
+in the calling process, so it is accepted but unread).
 
 Exit codes: 0 success, 1 computation error, 2 configuration or usage
 error, 3 outputs written but some sweep cells raised (each such cell is
@@ -107,6 +107,7 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
     _require(None not in physical,
              "provide --family/--L/--detuning-ghz/--apin-v-per-m "
              "or raw --f-norm/--dtp/--dtl")
+    args.L = 1 if args.L is None else args.L  # the manifest records it
     _require(args.L >= 1, "--L must be >= 1")
     fam = _family(cfg, args.family)
     op = OperatingPoint(family=fam, L=args.L,
@@ -237,14 +238,15 @@ def _complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> list[Path]:
+    omega = args.omega = 0.0 if args.omega is None else args.omega
     op = phases.operating_state(*_operating_point(args, cfg))
     spec = fluct.noise_spectrum(fluct.build_m(
         op.state, op.dtl, intrinsic_fraction=op.intrinsic_fraction),
-        args.omega)
+        omega)
     sigma = duan_mod.quadrature_covariance(spec)
-    c_min = op.witness(args.omega).c_min
+    c_min = op.witness(omega).c_min
     payload = {
-        "omega": args.omega,
+        "omega": omega,
         "phase": op.phase(c_min, cfg.tolerances.epsilon_ne).value,
         "s": _complex_matrix(spec.s),
         "s_minus": _complex_matrix(spec.s_minus),
@@ -258,13 +260,12 @@ def _cmd_duan(args, cfg: RunConfig, out: Path) -> list[Path]:
     if args.sigma_json is not None:
         point = (args.family, args.detuning_ghz, args.apin_v_per_m,
                  args.f_norm, args.dtp, args.dtl)
-        # --L and --omega show only where they differ from their defaults
-        _require(point == (None,) * 6 and (args.L, args.omega) == (1, 0.0),
+        _require(point == (None,) * 6 and (args.L, args.omega) == (None,) * 2,
                  "--sigma-json excludes the point flags and --omega")
         result = duan_mod.minimize_duan(_load_sigma(args.sigma_json))
         phase = None
-        args.L = args.omega = None  # unread: kept out of the manifest
     else:
+        args.omega = 0.0 if args.omega is None else args.omega
         op = phases.operating_state(*_operating_point(args, cfg))
         result = op.witness(args.omega)
         phase = op.phase(result.c_min, cfg.tolerances.epsilon_ne).value
@@ -303,8 +304,7 @@ def _sweep(args, cfg: RunConfig, fam, L: int, delta_axis: np.ndarray,
     grid = phases.sweep(fam, cfg.resonator, L, delta_axis, amp_axis,
                         omega=args.omega,
                         epsilon_ne=cfg.tolerances.epsilon_ne,
-                        truncation_order=cfg.tolerances.truncation_order,
-                        workers=args.workers)
+                        truncation_order=cfg.tolerances.truncation_order)
     _note_cell_errors(args, [grid])
     return grid
 
@@ -316,7 +316,7 @@ def _joint_pump(args, cfg: RunConfig, out: Path, name: str, fams,
     result, sweeps = phases.best_joint_pump(
         fams, cfg.resonator, ls, delta_axis, amp_axis, omega=args.omega,
         epsilon_ne=cfg.tolerances.epsilon_ne,
-        margin=cfg.tolerances.mi_margin_cells, workers=args.workers,
+        margin=cfg.tolerances.mi_margin_cells,
         truncation_order=cfg.tolerances.truncation_order)
     _note_cell_errors(args, [g for grids in sweeps.values() for g in grids])
     payload = {
@@ -512,7 +512,8 @@ def _reproduce_fig6(args, cfg: RunConfig, out: Path) -> list[Path]:
             op = phases.operating_state(drive, fam.intrinsic_fraction)
             point = phases.classify_state(
                 op, omega=args.omega, epsilon_ne=cfg.tolerances.epsilon_ne)
-            a2_mean = max((s.a2 for s in op.parametric), default=0.0)
+            a2_mean = max((s.a2 for s in steady.parametric_branch(
+                drive.f_norm, drive.dtp, drive.dtl)), default=0.0)
             try:  # the population reads only M, which η does not enter
                 pair_photons = fluct.intracavity_pair_photons(
                     fluct.build_m(op.state, op.dtl))
@@ -560,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("csv", "json"), default="csv")
     point = argparse.ArgumentParser(add_help=False)
     point.add_argument("--family", help="modal family label")
-    point.add_argument("--L", type=int, default=1, help="mode-pair index")
+    point.add_argument("--L", type=int, help="mode-pair index (default 1)")
     point.add_argument("--detuning-ghz", type=float,
                        help="pump detuning, resonance minus laser, GHz")
     point.add_argument("--apin-v-per-m", type=float,
@@ -572,10 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--dtl", type=float,
                        help="raw pair detuning, units of Γ")
     omega = argparse.ArgumentParser(add_help=False)
-    omega.add_argument("--omega", type=float, default=0.0,
+    omega.add_argument("--omega", type=float,
+                       help="analysis frequency in units of Γ (default 0)")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--omega", type=float, default=0.0,
                        help="analysis frequency in units of Γ")
-    sweep = argparse.ArgumentParser(add_help=False, parents=[omega])
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=int, default=1, help="no effect")
     sweep.add_argument("--delta-min-ghz", type=float)
     sweep.add_argument("--delta-max-ghz", type=float)
     sweep.add_argument("--amp-min", type=float, help="V/m")
@@ -669,8 +672,7 @@ def main(argv: list[str] | None = None) -> int:
     args.cell_errors = []
     try:
         written = args.handler(args, cfg, out)
-        # workers is an execution detail with no effect on any output
-        # byte, so it stays out of the manifest
+        # workers is accepted but unread, so it stays out of the manifest
         params = {k: v for k, v in vars(args).items()
                   if k not in ("config", "out", "workers", "cell_errors",
                                "handler")

@@ -48,6 +48,7 @@ __all__ = [
     "nonlinear_rate",
     "input_power",
     "normalize",
+    "normalize_row",
 ]
 
 HBAR = 1.054571817e-34      # J s
@@ -260,22 +261,31 @@ def input_power(family: ModalFamily, a_pin: float) -> float:
 
 def normalize(op_point: OperatingPoint, resonator: ResonatorSpec,
               truncation_order: int = 3) -> NormalizedDrive:
-    """Convert a laboratory operating point into the dimensionless drive.
+    """The dimensionless drive of one operating point (``normalize_row``)."""
+    return normalize_row(op_point.family, op_point.L, op_point.delta_p0,
+                         (op_point.a_pin,), truncation_order)[0]
+
+
+def normalize_row(family: ModalFamily, L: int, delta_p0: float, a_pins,
+                  truncation_order: int = 3) -> list[NormalizedDrive]:
+    """The dimensionless drives of one detuning row, one per amplitude.
 
     F follows the √(2γη P_in / ħΩ₀Γ³) normalization with Ω₀ the laser
     angular frequency; detunings are divided by Γ. The pair detuning
     satisfies dtl = dtp + D_int(L)/Γ by construction (see
-    NormalizedDrive).
+    NormalizedDrive). All but P_in is computed once per row, in the
+    order ((2γη)·P_in)/(ħΩ₀Γ³). ``OperatingPoint``'s checks apply.
     """
     from .dispersion import integrated_dispersion
 
-    fam = op_point.family
-    rates = damping_rates(fam)
+    _require(L >= 1, "mode-pair index L must be >= 1")
+    _require(all(a_pin >= 0 for a_pin in a_pins), "a_pin must be nonnegative")
+    rates = damping_rates(family)
     total, coupling = rates["Gamma"], rates["gamma"]
-    p_in = input_power(fam, op_point.a_pin)
-    omega_laser = fam.omega0 - 2.0 * math.pi * op_point.delta_p0
-    f_norm = math.sqrt(2.0 * coupling * fam.eta * p_in
-                       / (HBAR * omega_laser * total ** 3))
-    dtp = 2.0 * math.pi * op_point.delta_p0 / total
-    dint_norm = integrated_dispersion(fam, op_point.L, truncation_order) / total
-    return NormalizedDrive(f_norm=f_norm, dtp=dtp, dtl=dtp + dint_norm)
+    num = 2.0 * coupling * family.eta
+    den = HBAR * (family.omega0 - 2.0 * math.pi * delta_p0) * total ** 3
+    dtp = 2.0 * math.pi * delta_p0 / total
+    dtl = dtp + integrated_dispersion(family, L, truncation_order) / total
+    return [NormalizedDrive(f_norm=math.sqrt(num * input_power(family, a_pin)
+                                             / den), dtp=dtp, dtl=dtl)
+            for a_pin in a_pins]

@@ -11,14 +11,13 @@ what the steady-state and fluctuation analysis finds there:
         negative (entanglement, tunable with the pump);
     NE  a unique stable root with witness at or above the −ε boundary.
 
-Classification is a pure function of the normalized drive, so sweeps
-parallelize freely and assemble deterministically.
+Classification is a pure function of the normalized drive, and tests
+MI cheapest first: the parametric search runs only where MI is open.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,7 +25,8 @@ import numpy as np
 
 from .duan import DuanResult, pump_only_witness
 from .fluct import DEFAULT_INTRINSIC_FRACTION
-from .model import ModalFamily, NormalizedDrive, OperatingPoint, normalize
+from .model import (ModalFamily, NormalizedDrive, OperatingPoint, normalize,
+                    normalize_row)
 from .steady import SteadyState, parametric_branch, pump_only_branches
 
 __all__ = [
@@ -67,7 +67,8 @@ class PhasePoint:
 
     c_min is NaN on MI cells, where the below-threshold witness is not
     defined. n_branches counts pump-only roots; max_eig_re is the closed
-    form ``pump_only_max_eig_re`` at the lowest one.
+    form ``pump_only_max_eig_re`` at the lowest one. has_parametric is
+    set only where the search ran (one root, max_eig_re < 0).
     """
 
     phase: Phase
@@ -114,6 +115,8 @@ class OperatingState:
     the dark cavity follows (at the upper fold, the marginal double
     root); ``max_eig_re`` belongs to that state, and ``dtl`` and
     ``intrinsic_fraction`` fix its witness and its ``fluct.build_m``.
+    ``parametric`` is () unless one root with max_eig_re < 0 leaves MI
+    open, the one case where the signal/idler search runs.
     """
 
     roots: tuple[SteadyState, ...]
@@ -149,12 +152,14 @@ def pump_only_max_eig_re(ap2: float, dtl: float) -> float:
 def operating_state(drive: NormalizedDrive,
                     intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
                     ) -> OperatingState:
-    """Pump-only roots, parametric states and the lowest root's stability."""
+    """Pump-only roots, the lowest one's stability and, where those leave
+    MI open, the parametric states."""
     roots = pump_only_branches(drive.f_norm, drive.dtp)
-    par = parametric_branch(drive.f_norm, drive.dtp, drive.dtl)
+    eig = pump_only_max_eig_re(roots[0].ap2, drive.dtl)
+    par = () if len(roots) > 1 or eig >= 0.0 else tuple(
+        parametric_branch(drive.f_norm, drive.dtp, drive.dtl))
     return OperatingState(
-        roots=tuple(roots), state=roots[0], parametric=tuple(par),
-        max_eig_re=pump_only_max_eig_re(roots[0].ap2, drive.dtl),
+        roots=tuple(roots), state=roots[0], parametric=par, max_eig_re=eig,
         dtl=drive.dtl, intrinsic_fraction=intrinsic_fraction)
 
 
@@ -190,44 +195,25 @@ def classify_point(op: OperatingPoint, resonator, omega: float = 0.0,
                           intrinsic_fraction=op.family.intrinsic_fraction)
 
 
-def _sweep_row(args) -> tuple[int, list[PhasePoint]]:
-    (i, family, resonator, L, delta, amps, omega, epsilon_ne, order) = args
-    row = []
-    for a_pin in amps:
-        op = OperatingPoint(family=family, L=L, delta_p0=delta, a_pin=a_pin)
-        row.append(classify_point(op, resonator, omega=omega,
-                                  epsilon_ne=epsilon_ne,
-                                  truncation_order=order))
-    return i, row
-
-
 def sweep(family: ModalFamily, resonator, L: int,
           delta_axis: np.ndarray, amplitude_axis: np.ndarray,
           omega: float = 0.0, epsilon_ne: float = EPSILON_NE,
-          truncation_order: int = 3, workers: int = 1) -> SweepGrid:
+          truncation_order: int = 3) -> SweepGrid:
     """Classify every cell of the (detuning, amplitude) grid for one L.
 
-    Cells are independent; with workers > 1 rows are evaluated in a
-    process pool and reassembled by index, so the output is identical
-    for any worker count.
+    Each detuning row is normalized once (``normalize_row``) and its
+    cells are classified in turn, in the calling process.
     """
     delta_axis = np.asarray(delta_axis, dtype=float)
     amplitude_axis = np.asarray(amplitude_axis, dtype=float)
-    tasks = [(i, family, resonator, L, float(d), amplitude_axis,
-              omega, epsilon_ne, truncation_order)
-             for i, d in enumerate(delta_axis)]
-    rows: list[list[PhasePoint] | None] = [None] * len(delta_axis)
-    if workers <= 1:
-        for task in tasks:
-            i, row = _sweep_row(task)
-            rows[i] = row
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, row in pool.map(_sweep_row, tasks, chunksize=1):
-                rows[i] = row
+    points = tuple(
+        tuple(classify_drive(drive, omega=omega, epsilon_ne=epsilon_ne,
+                             intrinsic_fraction=family.intrinsic_fraction)
+              for drive in normalize_row(family, L, float(delta),
+                                         amplitude_axis, truncation_order))
+        for delta in delta_axis)
     return SweepGrid(family=family.label, L=L, delta_axis=delta_axis,
-                     amplitude_axis=amplitude_axis,
-                     points=tuple(tuple(row) for row in rows))
+                     amplitude_axis=amplitude_axis, points=points)
 
 
 def _mi_exclusion_mask(grids: list[SweepGrid], margin: int) -> np.ndarray:
@@ -261,7 +247,7 @@ class JointPumpResult:
 def best_joint_pump(families: list[ModalFamily], resonator, Ls: list[int],
                     delta_axis: np.ndarray, amplitude_axis: np.ndarray,
                     omega: float = 0.0, epsilon_ne: float = EPSILON_NE,
-                    margin: int = MI_MARGIN_CELLS, workers: int = 1,
+                    margin: int = MI_MARGIN_CELLS,
                     truncation_order: int = 3,
                     ) -> tuple[JointPumpResult, dict[str, list[SweepGrid]]]:
     """Best single pump frequency with per-family amplitudes.
@@ -276,8 +262,7 @@ def best_joint_pump(families: list[ModalFamily], resonator, Ls: list[int],
         raise ValueError("at least one family required")
     sweeps = {fam.label: [sweep(fam, resonator, L, delta_axis, amplitude_axis,
                                 omega=omega, epsilon_ne=epsilon_ne,
-                                truncation_order=truncation_order,
-                                workers=workers)
+                                truncation_order=truncation_order)
                           for L in Ls]
               for fam in families}
     # per family and detuning row: the amplitude whose worst witness over

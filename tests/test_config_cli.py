@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import multiprocessing.process
 
 import numpy as np
 import pytest
@@ -146,6 +147,10 @@ class TestCli:
           "--detuning-ghz", "0.36"], "--sigma-json excludes"),
         (["duan", "--sigma-json", "sigma.json", "--L", "3"],
          "--sigma-json excludes"),
+        (["duan", "--sigma-json", "sigma.json", "--L", "1"],
+         "--sigma-json excludes"),
+        (["duan", "--sigma-json", "sigma.json", "--omega", "0"],
+         "--sigma-json excludes"),
     ], ids=["no-point", "f-norm-without-dtl", "duan-grid-without-sigma",
             "langevin-few-samples", "unknown-family",
             "unknown-family-in-list", "L-zero", "phase-diagram-L-zero",
@@ -154,7 +159,8 @@ class TestCli:
             "f-norm-with-physical-point", "zero-span", "negative-tolerance",
             "langevin-inside-burn-in", "duan-grid-coarse", "zero-dt",
             "zero-workers", "sigma-json-with-drive", "sigma-json-with-family",
-            "sigma-json-with-L"])
+            "sigma-json-with-L", "sigma-json-with-default-L",
+            "sigma-json-with-default-omega"])
     def test_usage_error_exit_code(self, tmp_path, capsys, argv, problem):
         code = main([*argv, "--out", str(tmp_path / "o")])
         assert code == 2
@@ -278,10 +284,22 @@ class TestCli:
             raise steady.NoConvergenceError("stalled")
 
         monkeypatch.setattr(steady, "_polish_pair", stall)
-        point = ["--f-norm", "1.6", "--dtp", "2.4", "--dtl", "2.4"]
+        # one stable pump-only root: the parametric search runs here
+        point = ["--f-norm", "1.2957", "--dtp", "1.9306", "--dtl", "3.5463"]
         for command in ("steady", "duan", "spectrum"):
             out = tmp_path / command
             assert main([command, *point, "--out", str(out)]) == 1
+
+    def test_sweeps_start_no_process(self, tmp_path, monkeypatch):
+        # every multiprocessing Process class (fork, spawn, forkserver)
+        # starts through BaseProcess.start
+        def refuse(self):
+            raise AssertionError("a sweep started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        assert main(["reproduce", "fig7", "--grid", "4", "--workers", "2",
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_raising_cell_exits_3_after_writing(self, tmp_path, monkeypatch,
                                                 capsys):

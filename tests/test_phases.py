@@ -23,6 +23,9 @@ from kerrcomb.phases import (
 )
 
 SQRT3 = math.sqrt(3.0)
+# one stable pump-only root (max_eig_re = -1) with two parametric roots:
+# the one kind of MI cell where the parametric search decides
+PARAMETRIC_ONLY_MI = (1.2957, 1.9306, 3.5463)
 
 
 def drive_of(f, dtp, dtl):
@@ -46,9 +49,21 @@ class TestClassify:
         assert point.n_branches == 3
 
     def test_parametric_existence_is_mi(self):
-        point = classify_drive(drive_of(1.6, 2.4, 2.4))
+        point = classify_drive(drive_of(*PARAMETRIC_ONLY_MI))
         assert point.phase is Phase.MI
         assert point.has_parametric
+        assert point.n_branches == 1 and point.max_eig_re < 0.0
+
+    def test_multi_root_cell_runs_no_parametric_search(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("parametric search on a multi-root cell")
+
+        monkeypatch.setattr(phases, "parametric_branch", boom)
+        point = classify_drive(drive_of(1.6, 2.4, 2.4))
+        assert point.n_branches > 1
+        assert point.phase is Phase.MI
+        assert point.error == ""
+        assert not point.has_parametric
 
     def test_near_threshold_is_et(self):
         point = classify_drive(drive_of(1.2, 1.6, 1.55))
@@ -74,8 +89,8 @@ class TestClassify:
 
         monkeypatch.setattr(steady, "_polish_pair", stall)
         with pytest.raises(steady.NoConvergenceError):
-            steady.parametric_branch(1.6, 2.4, 2.4)
-        point = classify_drive(drive_of(1.6, 2.4, 2.4))
+            steady.parametric_branch(*PARAMETRIC_ONLY_MI)
+        point = classify_drive(drive_of(*PARAMETRIC_ONLY_MI))
         assert point.phase is Phase.MI
         assert point.error.startswith("NoConvergenceError")
 
@@ -99,19 +114,6 @@ class TestSweep:
         assert cell.phase == point.phase
         assert cell.c_min == point.c_min
 
-    def test_worker_count_invariance(self, te00, resonator):
-        deltas = np.linspace(0.1e9, 0.6e9, 6)
-        amps = np.linspace(1e6, 2e7, 5)
-        serial = sweep(te00, resonator, 1, deltas, amps, workers=1)
-        parallel = sweep(te00, resonator, 1, deltas, amps, workers=3)
-        for row_a, row_b in zip(serial.points, parallel.points):
-            for a, b in zip(row_a, row_b):
-                assert a.phase == b.phase
-                assert a.n_branches == b.n_branches
-                # bit-identical numerics (NaN marks MI cells on both sides)
-                assert repr(a.c_min) == repr(b.c_min)
-                assert repr(a.max_eig_re) == repr(b.max_eig_re)
-
     def test_all_three_phases_in_reference_region(self, te00, resonator):
         deltas = np.linspace(-0.1e9, 0.8e9, 16)
         amps = np.linspace(2e5, 2.8e7, 16)
@@ -129,16 +131,28 @@ def pump_only_state(x):
                               branch=steady.Branch.PUMP_ONLY, stable=True)
 
 
-def matrix_path_point(drive, intrinsic):
-    """A cell classified with M and its eigen-solve on ``roots[0]``."""
+def per_cell_point(drive, intrinsic, eig_of=None):
+    """A cell classified with the parametric search run on every cell,
+    as sweeps did before the cheapest-first MI test. ``eig_of(root)``
+    replaces the closed-form stability of the lowest root."""
     roots = steady.pump_only_branches(drive.f_norm, drive.dtp)
     parametric = steady.parametric_branch(drive.f_norm, drive.dtp, drive.dtl)
-    eig = max_eigenvalue_real(build_m(roots[0], drive.dtl,
-                                      intrinsic_fraction=intrinsic))
+    eig = (eig_of(roots[0]) if eig_of else
+           pump_only_max_eig_re(roots[0].ap2, drive.dtl))
     if len(roots) > 1 or parametric or eig >= 0.0:
-        return Phase.MI, math.nan, eig
-    c_min = pump_only_witness(roots[0].ap2, drive.dtl, 0.0, intrinsic).c_min
-    return (Phase.ET if c_min < -phases.EPSILON_NE else Phase.NE), c_min, eig
+        phase, c_min = Phase.MI, math.nan
+    else:
+        c_min = pump_only_witness(roots[0].ap2, drive.dtl, 0.0,
+                                  intrinsic).c_min
+        phase = Phase.ET if c_min < -phases.EPSILON_NE else Phase.NE
+    return PhasePoint(phase=phase, c_min=c_min, n_branches=len(roots),
+                      max_eig_re=eig)
+
+
+def matrix_path_point(drive, intrinsic):
+    """A cell classified with M and its eigen-solve on ``roots[0]``."""
+    return per_cell_point(drive, intrinsic, lambda root: max_eigenvalue_real(
+        build_m(root, drive.dtl, intrinsic_fraction=intrinsic)))
 
 
 class TestPumpOnlyStability:
@@ -199,12 +213,39 @@ class TestPumpOnlyStability:
                     drive = normalize(OperatingPoint(
                         family=te00, L=L, delta_p0=float(delta),
                         a_pin=float(amp)), resonator)
-                    phase, c_min, eig = matrix_path_point(
-                        drive, te00.intrinsic_fraction)
+                    ref = matrix_path_point(drive, te00.intrinsic_fraction)
                     cell = grid.points[i][j]
-                    assert cell.phase is phase
-                    assert repr(cell.c_min) == repr(c_min)
-                    assert abs(cell.max_eig_re - eig) <= 1e-12
+                    assert cell.phase is ref.phase
+                    assert repr(cell.c_min) == repr(ref.c_min)
+                    assert abs(cell.max_eig_re - ref.max_eig_re) <= 1e-12
+
+
+class TestSweepEqualsPerCellPath:
+    @pytest.mark.parametrize("labels, Ls", [
+        (("TE00",), (1, 2, 3)),             # fig4 geometry
+        (("TE00", "TE10", "TM10"), (6,)),   # fig7 families
+    ], ids=["fig4-L1-3", "fig7-L6"])
+    def test_grid_bits_match(self, cfg, resonator, labels, Ls):
+        axes = cfg.sweep_defaults
+        deltas = np.linspace(axes["delta_min_ghz"] * 1e9,
+                             axes["delta_max_ghz"] * 1e9, 16)
+        amps = np.linspace(axes["amp_min_v_per_m"], axes["amp_max_v_per_m"],
+                           16)
+        for fam in map(resonator.family, labels):
+            for L in Ls:
+                grid = sweep(fam, resonator, L, deltas, amps)
+                for i, delta in enumerate(deltas):
+                    for j, amp in enumerate(amps):
+                        drive = normalize(OperatingPoint(
+                            family=fam, L=L, delta_p0=float(delta),
+                            a_pin=amp), resonator)
+                        ref = per_cell_point(drive, fam.intrinsic_fraction)
+                        cell = grid.points[i][j]
+                        for name in ("phase", "c_min", "n_branches",
+                                     "max_eig_re"):
+                            assert repr(getattr(cell, name)) \
+                                == repr(getattr(ref, name)), (fam.label, L,
+                                                              i, j, name)
 
 
 class TestBestJointPump:
