@@ -95,14 +95,14 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
     """Drive from either physical flags or raw normalized flags."""
     physical = (args.family, args.detuning_ghz, args.apin_v_per_m)
     if args.f_norm is not None:
-        _require(physical == (None, None, None),
-                 "--f-norm excludes --family/--detuning-ghz/--apin-v-per-m")
+        _require(physical == (None,) * 3 and args.L is None,
+                 "--f-norm excludes --family/--L/--detuning-ghz/"
+                 "--apin-v-per-m")
         for name in ("dtp", "dtl"):
             _require(getattr(args, name) is not None,
                      f"--{name} required with --f-norm")
         drive = NormalizedDrive(f_norm=args.f_norm, dtp=args.dtp,
                                 dtl=args.dtl)
-        args.L = None  # unread by a raw drive: kept out of the manifest
         return drive, fluct.DEFAULT_INTRINSIC_FRACTION
     _require(None not in physical,
              "provide --family/--L/--detuning-ghz/--apin-v-per-m "

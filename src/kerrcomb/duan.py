@@ -18,10 +18,11 @@ C_min = 0.
 On the operating path every σ comes from a pump-only state, where the
 chain M → S(±ω) → σ → C_min has a closed form, ``pump_only_witness``
 (docs/derivation.md); the phase classification and the single-point
-commands use it. ``quadrature_covariance`` and ``minimize_duan`` (a
-coarse grid plus coordinate descent) serve a general σ
-(``duan --sigma-json``) and the printed spectra. The exhaustive grid
-scan in ``kerrcomb.oracle`` is used only as a test oracle.
+commands use it. ``quadrature_covariance`` serves the printed spectra,
+and ``minimize_duan`` a general σ (``duan --sigma-json``): at a fixed
+angle difference the minimum over the common angle is closed form, so
+it searches the one angle θ₊ − θ₋. The exhaustive grid scan in
+``kerrcomb.oracle`` is used only as a test oracle.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _V_XPLUS = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
 _V_YPLUS = np.array([0.0, 1.0, 0.0, 1.0]) / math.sqrt(2.0)
 
 _SYMMETRY_TOL = 1e-6  # largest symmetrization residual σ may carry
-_COARSE = 64          # grid points per angle seeding minimize_duan
+_DELTA_GRID = 64      # periodic Δ samples seeding minimize_duan
 
 
 class NotSymmetricError(ValueError):
@@ -108,14 +109,6 @@ def _trig_coefficients(sigma: np.ndarray) -> tuple[float, ...]:
     return (const, 0.5 * (a_m - b_m), -c_m, -0.5 * (a_p - b_p), c_p)
 
 
-def _value_from_coeffs(coeffs: tuple[float, ...], tp: float,
-                       tm: float) -> float:
-    const, cm2, sm2, cp2, sp2 = coeffs
-    return (const + cm2 * math.cos(2 * tm) + sm2 * math.sin(2 * tm)
-            + cp2 * math.cos(2 * tp) + sp2 * math.sin(2 * tp)
-            - abs(math.cos(tp - tm)))
-
-
 def duan_value(sigma: np.ndarray, theta_plus: float,
                theta_minus: float) -> float:
     """Witness value C at one pair of rotation angles."""
@@ -128,40 +121,39 @@ def duan_value(sigma: np.ndarray, theta_plus: float,
 
 
 def minimize_duan(sigma: np.ndarray) -> DuanResult:
-    """Global minimum of C over both angles.
+    """Global minimum of C over both angles, searched along one.
 
-    A coarse grid over [0, 2π)² seeds coordinate descent with a halving
-    step, stopping below 1e-6 rad. The landscape is a sum of 2θ
-    harmonics and |cos Δθ| so the coarse grid cannot miss the basin.
+    At fixed Δ = θ₊ − θ₋ the two harmonics add up to Re(W e^{2iθ₋}),
+    W = w₋ + w₊e^{2iΔ}, whose least value −|W| is reached at
+    2θ₋ = π − arg W; so C_min = const + min over Δ ∈ [0, π) of
+    −|W(Δ)| − |cos Δ|. Its slope drops at both of its kinks (W = 0 and
+    Δ = π/2), so every minimum is smooth: each local minimum of a
+    periodic Δ grid is zoomed (33 points over ±step, then step /= 16)
+    below 1e-10 rad, and C is evaluated at the best angles with
+    ``duan_value`` (docs/derivation.md).
     """
-    coeffs = _trig_coefficients(sigma)
-    thetas = np.linspace(0.0, 2.0 * math.pi, _COARSE, endpoint=False)
-    tp_grid, tm_grid = np.meshgrid(thetas, thetas, indexing="ij")
-    const, cm2, sm2, cp2, sp2 = coeffs
-    values = (const + cm2 * np.cos(2 * tm_grid) + sm2 * np.sin(2 * tm_grid)
-              + cp2 * np.cos(2 * tp_grid) + sp2 * np.sin(2 * tp_grid)
-              - np.abs(np.cos(tp_grid - tm_grid)))
-    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
-    tp, tm = float(thetas[i]), float(thetas[j])
-    best = _value_from_coeffs(coeffs, tp, tm)
-    step = 2.0 * math.pi / _COARSE
-    while step > 1e-6:
-        improved = False
-        for dtp_, dtm_ in ((step, 0.0), (-step, 0.0), (0.0, step),
-                           (0.0, -step), (step, step), (-step, -step)):
-            cand = _value_from_coeffs(coeffs, tp + dtp_, tm + dtm_)
-            if cand < best - 1e-15:
-                tp += dtp_
-                tm += dtm_
-                best = cand
-                improved = True
-        if not improved:
-            step *= 0.5
-    tp %= 2.0 * math.pi
-    tm %= 2.0 * math.pi
+    _, cm2, sm2, cp2, sp2 = _trig_coefficients(sigma)
+    w_minus, w_plus = complex(cm2, -sm2), complex(cp2, -sp2)
+
+    def depth(delta):
+        return (-np.abs(w_minus + w_plus * np.exp(2j * delta))
+                - np.abs(np.cos(delta)))
+
+    step = math.pi / _DELTA_GRID
+    delta = step * np.arange(_DELTA_GRID)
+    f = depth(delta)
+    delta = delta[(f <= np.roll(f, 1)) & (f <= np.roll(f, -1))]
+    while step > 1e-10:
+        trial = delta[:, None] + np.linspace(-step, step, 33)
+        delta = trial[np.arange(len(trial)), np.argmin(depth(trial), axis=1)]
+        step /= 16.0
+    d = float(delta[np.argmin(depth(delta))])
+    tm = (math.pi - cmath.phase(w_minus + w_plus * cmath.exp(2j * d))) / 2.0
+    tp, tm = (tm + d) % math.pi, tm % math.pi
+    c_min = duan_value(sigma, tp, tm)
     # strict negativity up to rounding: vacuum sits exactly on C = 0
-    return DuanResult(c_min=float(best), theta_plus=float(tp),
-                      theta_minus=float(tm), entangled=bool(best < -1e-12))
+    return DuanResult(c_min=c_min, theta_plus=tp, theta_minus=tm,
+                      entangled=c_min < -1e-12)
 
 
 def pump_only_witness(ap2: float, dtl: float, omega: float,

@@ -130,6 +130,10 @@ class TestCli:
         (["duan", "--f-norm", "1.6", "--dtp", "2.4", "--dtl", "2.4",
           "--detuning-ghz", "0.36", "--apin-v-per-m", "1.1e7"],
          "--f-norm excludes"),
+        (["steady", "--f-norm", "1.2", "--dtp", "1.6", "--dtl", "1.6",
+          "--L", "3"], "--f-norm excludes"),
+        (["duan", "--f-norm", "1.2", "--dtp", "1.6", "--dtl", "1.6",
+          "--L", "1"], "--f-norm excludes"),
         (["transmission", "--span-ghz", "0"], "--span-ghz must be > 0"),
         (["overlap", "--tolerance-ghz", "-1"],
          "--tolerance-ghz must be > 0"),
@@ -156,7 +160,8 @@ class TestCli:
             "unknown-family-in-list", "L-zero", "phase-diagram-L-zero",
             "Ls-zero", "Ls-malformed", "l-min-above-l-max",
             "f-min-above-f-max", "one-sample", "f-norm-with-family",
-            "f-norm-with-physical-point", "zero-span", "negative-tolerance",
+            "f-norm-with-physical-point", "steady-f-norm-with-L",
+            "duan-f-norm-with-default-L", "zero-span", "negative-tolerance",
             "langevin-inside-burn-in", "duan-grid-coarse", "zero-dt",
             "zero-workers", "sigma-json-with-drive", "sigma-json-with-family",
             "sigma-json-with-L", "sigma-json-with-default-L",
