@@ -20,8 +20,7 @@ te00 = cfg.resonator.family("TE00")
 deltas = np.linspace(-0.1e9, 0.8e9, 36)   # Hz
 amps = np.linspace(2e5, 2.8e7, 48)        # V/m
 
-grid = sweep(te00, cfg.resonator, L=1, delta_axis=deltas,
-             amplitude_axis=amps)
+grid = sweep(te00, L=1, delta_axis=deltas, amplitude_axis=amps)
 
 glyph = {"NE": ".", "ET": "e", "MI": "#"}
 print("TE00, L = 1.  rows: detuning (bottom -0.1 GHz, top 0.8 GHz); "

@@ -7,7 +7,7 @@ The optimizer scans shared detunings, picks each family's amplitude to
 minimize its worst witness across several comb pairs, stays clear of
 the MI region, and returns the detuning with the best worst case.
 
-Run:  python demos/05_joint_pump_optimization.py  (about a minute)
+Run:  python demos/05_joint_pump_optimization.py  (under a second)
 """
 
 import numpy as np
@@ -17,13 +17,12 @@ from kerrcomb.dispersion import composite_pump_weights
 from kerrcomb.phases import best_joint_pump
 
 cfg = load_config()
-res = cfg.resonator
-families = [res.family(l) for l in ("TE00", "TE10", "TM10")]
+families = [cfg.resonator.family(l) for l in ("TE00", "TE10", "TM10")]
 
 deltas = np.linspace(0.0, 0.8e9, 33)
 amps = np.linspace(2e6, 4.0e7, 40)
 
-result, sweeps = best_joint_pump(families, res, Ls=[1, 3, 6],
+result, sweeps = best_joint_pump(families, Ls=[1, 3, 6],
                                  delta_axis=deltas, amplitude_axis=amps)
 
 print(f"shared pump detuning: {result.delta_p0 / 1e9:.3f} GHz")

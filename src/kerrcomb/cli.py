@@ -113,8 +113,7 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
     op = OperatingPoint(family=fam, L=args.L,
                         delta_p0=args.detuning_ghz * 1e9,
                         a_pin=args.apin_v_per_m)
-    return (normalize(op, cfg.resonator,
-                      cfg.tolerances.truncation_order),
+    return (normalize(op, cfg.tolerances.truncation_order),
             fam.intrinsic_fraction)
 
 
@@ -301,8 +300,7 @@ def _note_cell_errors(args, grids) -> None:
 
 def _sweep(args, cfg: RunConfig, fam, L: int, delta_axis: np.ndarray,
            amp_axis: np.ndarray) -> phases.SweepGrid:
-    grid = phases.sweep(fam, cfg.resonator, L, delta_axis, amp_axis,
-                        omega=args.omega,
+    grid = phases.sweep(fam, L, delta_axis, amp_axis, omega=args.omega,
                         epsilon_ne=cfg.tolerances.epsilon_ne,
                         truncation_order=cfg.tolerances.truncation_order)
     _note_cell_errors(args, [grid])
@@ -314,7 +312,7 @@ def _joint_pump(args, cfg: RunConfig, out: Path, name: str, fams,
     """Run the joint-pump optimizer; write its payload to ``name``."""
     delta_axis, amp_axis = _axes_from_args(args, cfg)
     result, sweeps = phases.best_joint_pump(
-        fams, cfg.resonator, ls, delta_axis, amp_axis, omega=args.omega,
+        fams, ls, delta_axis, amp_axis, omega=args.omega,
         epsilon_ne=cfg.tolerances.epsilon_ne,
         margin=cfg.tolerances.mi_margin_cells,
         truncation_order=cfg.tolerances.truncation_order)
@@ -331,11 +329,9 @@ def _joint_pump(args, cfg: RunConfig, out: Path, name: str, fams,
 
 
 def _grid_svg(grid: phases.SweepGrid, cfg: RunConfig) -> str:
-    cm = grid.c_min_array()
-    mi = grid.phase_array() == phases.Phase.MI.value
     hm = cfg.heatmap
     return heatmap_svg(
-        cm, mi, x_axis=grid.amplitude_axis / 1e9,
+        grid.c_min_array(), x_axis=grid.amplitude_axis / 1e9,
         y_axis=grid.delta_axis / 1e9,
         bucket_edges=hm["bucket_edges"], bucket_colors=hm["bucket_colors"],
         mi_color=hm["mi_color"],
@@ -508,7 +504,7 @@ def _reproduce_fig6(args, cfg: RunConfig, out: Path) -> list[Path]:
             drive = normalize(OperatingPoint(family=fam, L=1,
                                              delta_p0=float(delta),
                                              a_pin=a_pin),
-                              cfg.resonator, cfg.tolerances.truncation_order)
+                              cfg.tolerances.truncation_order)
             op = phases.operating_state(drive, fam.intrinsic_fraction)
             point = phases.classify_state(
                 op, omega=args.omega, epsilon_ne=cfg.tolerances.epsilon_ne)

@@ -93,11 +93,10 @@ class FluctuationSystem:
 class NoiseSpectrum:
     """Output spectral density at ±ω (both needed for covariances).
 
-    omega is the analysis frequency in units of Γ; ``s`` is S(ω) and
-    ``s_minus`` is S(−ω), computed from the same resolvent.
+    ``s`` is S(ω) and ``s_minus`` is S(−ω), computed from the same
+    resolvent.
     """
 
-    omega: float
     s: np.ndarray
     s_minus: np.ndarray
 
@@ -151,7 +150,7 @@ def noise_spectrum(sys: FluctuationSystem, omega: float) -> NoiseSpectrum:
     (in_p, loss_p), (in_m, loss_m) = gains
     s = in_p @ C_VAC @ in_m.T + loss_p @ C_VAC @ loss_m.T
     s_minus = in_m @ C_VAC @ in_p.T + loss_m @ C_VAC @ loss_p.T
-    return NoiseSpectrum(omega=omega, s=s, s_minus=s_minus)
+    return NoiseSpectrum(s=s, s_minus=s_minus)
 
 
 def intracavity_pair_photons(sys: FluctuationSystem) -> float:

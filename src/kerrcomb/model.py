@@ -259,7 +259,7 @@ def input_power(family: ModalFamily, a_pin: float) -> float:
     return 0.5 * family.n_eff * EPSILON_0 * C_VACUUM * family.a_eff * a_pin ** 2
 
 
-def normalize(op_point: OperatingPoint, resonator: ResonatorSpec,
+def normalize(op_point: OperatingPoint,
               truncation_order: int = 3) -> NormalizedDrive:
     """The dimensionless drive of one operating point (``normalize_row``)."""
     return normalize_row(op_point.family, op_point.L, op_point.delta_p0,

@@ -25,9 +25,9 @@ import numpy as np
 
 from .duan import DuanResult, pump_only_witness
 from .fluct import DEFAULT_INTRINSIC_FRACTION
-from .model import (ModalFamily, NormalizedDrive, OperatingPoint, normalize,
-                    normalize_row)
-from .steady import SteadyState, parametric_branch, pump_only_branches
+from .model import ModalFamily, NormalizedDrive, normalize_row
+from .steady import (NoConvergenceError, SteadyState, parametric_branch,
+                     pump_only_branches)
 
 __all__ = [
     "Phase",
@@ -40,7 +40,6 @@ __all__ = [
     "pump_only_max_eig_re",
     "classify_state",
     "classify_drive",
-    "classify_point",
     "sweep",
     "best_joint_pump",
     "EPSILON_NE",
@@ -176,26 +175,22 @@ def classify_drive(drive: NormalizedDrive, omega: float = 0.0,
                    epsilon_ne: float = EPSILON_NE,
                    intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
                    ) -> PhasePoint:
-    """Classify a normalized drive point (the sweep work-horse)."""
+    """Classify a normalized drive point (the sweep work-horse).
+
+    A solver failure (``NoConvergenceError``, or a ``LinAlgError`` such
+    as ``SingularResolventError``) marks the cell MI with its error text
+    so the grid completes; any other exception is a bug and propagates.
+    """
     try:
         return classify_state(operating_state(drive, intrinsic_fraction),
                               omega=omega, epsilon_ne=epsilon_ne)
-    except Exception as exc:  # per-cell marker, the grid must complete
+    except (NoConvergenceError, np.linalg.LinAlgError) as exc:
         return PhasePoint(phase=Phase.MI, c_min=math.nan, n_branches=0,
                           max_eig_re=math.nan,
                           error=f"{type(exc).__name__}: {exc}")
 
 
-def classify_point(op: OperatingPoint, resonator, omega: float = 0.0,
-                   epsilon_ne: float = EPSILON_NE,
-                   truncation_order: int = 3) -> PhasePoint:
-    """Classify a physical operating point."""
-    drive = normalize(op, resonator, truncation_order)
-    return classify_drive(drive, omega=omega, epsilon_ne=epsilon_ne,
-                          intrinsic_fraction=op.family.intrinsic_fraction)
-
-
-def sweep(family: ModalFamily, resonator, L: int,
+def sweep(family: ModalFamily, L: int,
           delta_axis: np.ndarray, amplitude_axis: np.ndarray,
           omega: float = 0.0, epsilon_ne: float = EPSILON_NE,
           truncation_order: int = 3) -> SweepGrid:
@@ -244,7 +239,7 @@ class JointPumpResult:
     per_family_c_min: dict[str, float]
 
 
-def best_joint_pump(families: list[ModalFamily], resonator, Ls: list[int],
+def best_joint_pump(families: list[ModalFamily], Ls: list[int],
                     delta_axis: np.ndarray, amplitude_axis: np.ndarray,
                     omega: float = 0.0, epsilon_ne: float = EPSILON_NE,
                     margin: int = MI_MARGIN_CELLS,
@@ -260,7 +255,7 @@ def best_joint_pump(families: list[ModalFamily], resonator, Ls: list[int],
     """
     if not families:
         raise ValueError("at least one family required")
-    sweeps = {fam.label: [sweep(fam, resonator, L, delta_axis, amplitude_axis,
+    sweeps = {fam.label: [sweep(fam, L, delta_axis, amplitude_axis,
                                 omega=omega, epsilon_ne=epsilon_ne,
                                 truncation_order=truncation_order)
                           for L in Ls]

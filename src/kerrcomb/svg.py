@@ -16,6 +16,7 @@ import numpy as np
 __all__ = ["heatmap_svg", "line_plot_svg"]
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 120, 36, 54
+_LINE_W, _LINE_H = 640, 420  # line plot canvas, px
 
 
 def _fmt(x: float) -> str:
@@ -61,20 +62,18 @@ def _titles(plot_w: float, plot_h: float, height: int, x_label: str,
     return parts
 
 
-def heatmap_svg(values: np.ndarray, mi_mask: np.ndarray,
-                x_axis: Sequence[float], y_axis: Sequence[float],
-                bucket_edges: Sequence[float], bucket_colors: Sequence[str],
-                mi_color: str, config_digest: str,
-                x_label: str = "", y_label: str = "",
+def heatmap_svg(values: np.ndarray, x_axis: Sequence[float],
+                y_axis: Sequence[float], bucket_edges: Sequence[float],
+                bucket_colors: Sequence[str], mi_color: str,
+                config_digest: str, x_label: str = "", y_label: str = "",
                 title: str = "") -> str:
     """Bucketed heat map: values[i, j] drawn at (x_axis[j], y_axis[i]).
 
     Values are colored by the bucket interval they fall into (first edge
-    is an open lower bound); MI cells use mi_color with a hatch overlay.
+    is an open lower bound); NaN cells are MI and use mi_color with a
+    hatch overlay.
     """
     ny, nx = values.shape
-    if mi_mask.shape != values.shape:
-        raise ValueError("mi_mask shape must match values")
     if len(bucket_colors) != len(bucket_edges):
         raise ValueError("need one color per bucket edge interval")
     plot_w, plot_h = max(4 * nx, 320), max(4 * ny, 320)
@@ -101,11 +100,11 @@ def heatmap_svg(values: np.ndarray, mi_mask: np.ndarray,
         y0 = _MARGIN_T + plot_h - (i + 1) * cell_h
         for j in range(nx):
             x0 = _MARGIN_L + j * cell_w
-            fill = color_for(values[i, j])
+            value = float(values[i, j])
             parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
                          f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
-                         f'fill="{fill}"/>')
-            if mi_mask[i, j]:
+                         f'fill="{color_for(value)}"/>')
+            if math.isnan(value):
                 parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
                              f'width="{_fmt(cell_w)}" '
                              f'height="{_fmt(cell_h)}" '
@@ -143,11 +142,11 @@ def heatmap_svg(values: np.ndarray, mi_mask: np.ndarray,
 
 def line_plot_svg(series: Sequence[tuple[str, np.ndarray, np.ndarray]],
                   config_digest: str, x_label: str = "", y_label: str = "",
-                  title: str = "", width: int = 640,
-                  height: int = 420) -> str:
+                  title: str = "") -> str:
     """Polyline plot of (label, x, y) series with a small legend."""
     palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                "#8c564b"]
+    width, height = _LINE_W, _LINE_H
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
     xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])

@@ -291,7 +291,7 @@ def test_criterion_08_phase_diagram_structure():
     te00 = cfg.resonator.family("TE00")
     deltas = np.linspace(-0.1e9, 0.8e9, 64)
     amps = np.linspace(2e5, 2.8e7, 64)
-    grid = sweep(te00, cfg.resonator, 1, deltas, amps)
+    grid = sweep(te00, 1, deltas, amps)
     counts = {p: grid.count(p) for p in Phase}
     assert all(counts[p] > 0 for p in Phase)
     pa = grid.phase_array()
@@ -329,13 +329,13 @@ def test_criterion_09_ne_broadening():
     amps = np.linspace(2e5, 2.8e7, 64)
     counts = []
     for L in range(1, 7):
-        grid = sweep(te00, cfg.resonator, L, deltas, amps)
+        grid = sweep(te00, L, deltas, amps)
         counts.append(grid.count(Phase.NE))
     assert all(b >= a for a, b in zip(counts, counts[1:])), counts
     # the NE count is flat (162) for L = 1…6 on these axes; the pair
     # detuning's drift only shows at larger L, where the region must grow
     # (178 NE cells at L = 20 and 233 at L = 40)
-    far = [sweep(te00, cfg.resonator, L, deltas, amps).count(Phase.NE)
+    far = [sweep(te00, L, deltas, amps).count(Phase.NE)
            for L in (20, 40)]
     assert all(n > 162 for n in far), far
     assert counts[-1] <= far[0] <= far[1], (counts, far)
@@ -351,7 +351,7 @@ def test_criterion_10_joint_pump_structure():
     fams = [cfg.resonator.family(l) for l in ("TE00", "TE10", "TM10")]
     deltas = np.linspace(0.0, 0.8e9, 33)
     amps = np.linspace(2e6, 4.0e7, 40)
-    result, _ = best_joint_pump(fams, cfg.resonator, [1, 3, 6], deltas,
+    result, _ = best_joint_pump(fams, [1, 3, 6], deltas,
                                 amps)
     assert result.delta_p0 in deltas  # one shared pump frequency
     # frozen regression established by the first run of this artifact:

@@ -306,6 +306,18 @@ class TestCli:
         assert main(["reproduce", "fig7", "--grid", "4", "--workers", "2",
                      "--out", str(tmp_path / "o")]) == 0
 
+    def test_programming_error_in_a_cell_exits_1(self, tmp_path,
+                                                 monkeypatch, capsys):
+        def broken(*args):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(phases, "pump_only_branches", broken)
+        code = main(["phase-diagram", "--family", "TE00", "--grid", "4",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "computation error: TypeError: broken")
+
     def test_raising_cell_exits_3_after_writing(self, tmp_path, monkeypatch,
                                                 capsys):
         real = phases.operating_state

@@ -140,7 +140,7 @@ class TestQuadratureCovariance:
 
     def test_corrupted_spectrum_rejected(self):
         spec = noise_spectrum(build_m(empty_state(), 0.4), 0.0)
-        bad = NoiseSpectrum(omega=0.0, s=spec.s + 0.5j, s_minus=spec.s_minus)
+        bad = NoiseSpectrum(s=spec.s + 0.5j, s_minus=spec.s_minus)
         with pytest.raises(NotSymmetricError):
             quadrature_covariance(bad)
 

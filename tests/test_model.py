@@ -103,12 +103,12 @@ class TestNonlinearRate:
 class TestNormalize:
     def test_zero_amplitude_means_zero_drive(self, te00, resonator):
         op = OperatingPoint(family=te00, L=1, delta_p0=0.7e9, a_pin=0.0)
-        drive = normalize(op, resonator)
+        drive = normalize(op)
         assert drive.f_norm == 0.0
 
     def test_on_cold_resonance(self, te00, resonator):
         op = OperatingPoint(family=te00, L=3, delta_p0=0.0, a_pin=1e6)
-        drive = normalize(op, resonator)
+        drive = normalize(op)
         assert drive.dtp == 0.0
         d_int = integrated_dispersion(te00, 3, 3)
         assert drive.dtl == pytest.approx(
@@ -116,7 +116,7 @@ class TestNormalize:
 
     def test_te00_dtp_at_036_ghz(self, te00, resonator):
         op = OperatingPoint(family=te00, L=1, delta_p0=0.36e9, a_pin=1e6)
-        drive = normalize(op, resonator)
+        drive = normalize(op)
         assert drive.dtp == pytest.approx(DTP_AT_036_GHZ, rel=1e-12)
 
     def test_amplitude_homogeneity(self, te00, resonator, rng):
@@ -127,8 +127,8 @@ class TestNormalize:
             op1 = OperatingPoint(family=te00, L=1, delta_p0=0.2e9, a_pin=a)
             op2 = OperatingPoint(family=te00, L=1, delta_p0=0.2e9,
                                  a_pin=k * a)
-            f1 = normalize(op1, resonator).f_norm
-            f2 = normalize(op2, resonator).f_norm
+            f1 = normalize(op1).f_norm
+            f2 = normalize(op2).f_norm
             assert f2 == pytest.approx(k * f1, rel=1e-12)
 
     def test_pair_detuning_identity(self, resonator, rng):
@@ -138,7 +138,7 @@ class TestNormalize:
                 delta = float(rng.uniform(-1e9, 1e9))
                 op = OperatingPoint(family=fam, L=L, delta_p0=delta,
                                     a_pin=1e6)
-                drive = normalize(op, resonator)
+                drive = normalize(op)
                 d_int = integrated_dispersion(fam, L, 3) / rates["Gamma"]
                 assert drive.dtl == drive.dtp + d_int
 

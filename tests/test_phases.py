@@ -17,7 +17,6 @@ from kerrcomb.phases import (
     SweepGrid,
     best_joint_pump,
     classify_drive,
-    classify_point,
     pump_only_max_eig_re,
     sweep,
 )
@@ -33,9 +32,10 @@ def drive_of(f, dtp, dtl):
 
 
 class TestClassify:
-    def test_dark_point_is_ne(self, te00, resonator):
+    def test_dark_point_is_ne(self, te00):
         op = OperatingPoint(family=te00, L=1, delta_p0=0.2e9, a_pin=0.0)
-        point = classify_point(op, resonator)
+        point = classify_drive(normalize(op),
+                               intrinsic_fraction=te00.intrinsic_fraction)
         assert point.phase is Phase.NE
         assert point.c_min == pytest.approx(0.0, abs=1e-9)
 
@@ -94,36 +94,45 @@ class TestClassify:
         assert point.phase is Phase.MI
         assert point.error.startswith("NoConvergenceError")
 
-    def test_classification_is_function_of_drive(self, te00, resonator):
-        op = OperatingPoint(family=te00, L=1, delta_p0=0.3e9, a_pin=9e6)
-        direct = classify_point(op, resonator)
-        drive = normalize(op, resonator)
-        via_drive = classify_drive(
-            drive, intrinsic_fraction=te00.intrinsic_fraction)
-        assert direct.phase == via_drive.phase
-        assert direct.c_min == via_drive.c_min
-        assert direct.max_eig_re == via_drive.max_eig_re
+    def test_singular_resolvent_is_an_error_cell(self, monkeypatch):
+        def singular(*args):
+            raise fluct.SingularResolventError("marginal")
+
+        monkeypatch.setattr(phases, "pump_only_branches", singular)
+        point = classify_drive(drive_of(1.2, 1.6, 1.55))
+        assert point.phase is Phase.MI
+        assert point.error.startswith("SingularResolventError")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only solver failures mark a cell; a bug must not become MI
+        def broken(*args):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(phases, "pump_only_branches", broken)
+        with pytest.raises(TypeError, match="broken"):
+            classify_drive(drive_of(1.2, 1.6, 1.55))
 
 
 class TestSweep:
-    def test_single_cell_equals_classify(self, te00, resonator):
-        grid = sweep(te00, resonator, 1, np.array([0.3e9]), np.array([9e6]))
+    def test_single_cell_equals_classify(self, te00):
+        grid = sweep(te00, 1, np.array([0.3e9]), np.array([9e6]))
         op = OperatingPoint(family=te00, L=1, delta_p0=0.3e9, a_pin=9e6)
-        point = classify_point(op, resonator)
+        point = classify_drive(normalize(op),
+                               intrinsic_fraction=te00.intrinsic_fraction)
         cell = grid.points[0][0]
         assert cell.phase == point.phase
         assert cell.c_min == point.c_min
 
-    def test_all_three_phases_in_reference_region(self, te00, resonator):
+    def test_all_three_phases_in_reference_region(self, te00):
         deltas = np.linspace(-0.1e9, 0.8e9, 16)
         amps = np.linspace(2e5, 2.8e7, 16)
-        grid = sweep(te00, resonator, 1, deltas, amps)
+        grid = sweep(te00, 1, deltas, amps)
         counts = {p: grid.count(p) for p in Phase}
         assert all(counts[p] > 0 for p in Phase)
 
-    def test_axis_validation(self, te00, resonator):
+    def test_axis_validation(self, te00):
         with pytest.raises(ValueError):
-            sweep(te00, resonator, 1, np.array([2.0, 1.0]), np.array([1.0]))
+            sweep(te00, 1, np.array([2.0, 1.0]), np.array([1.0]))
 
 
 def pump_only_state(x):
@@ -203,16 +212,16 @@ class TestPumpOnlyStability:
         assert point.error == ""
         assert point.phase is Phase.ET
 
-    def test_grid_equals_matrix_path(self, te00, resonator):
+    def test_grid_equals_matrix_path(self, te00):
         deltas = np.linspace(-0.1e9, 0.8e9, 16)
         amps = np.linspace(2e5, 2.8e7, 16)
         for L in (1, 2, 3):
-            grid = sweep(te00, resonator, L, deltas, amps)
+            grid = sweep(te00, L, deltas, amps)
             for i, delta in enumerate(deltas):
                 for j, amp in enumerate(amps):
                     drive = normalize(OperatingPoint(
                         family=te00, L=L, delta_p0=float(delta),
-                        a_pin=float(amp)), resonator)
+                        a_pin=float(amp)))
                     ref = matrix_path_point(drive, te00.intrinsic_fraction)
                     cell = grid.points[i][j]
                     assert cell.phase is ref.phase
@@ -233,12 +242,12 @@ class TestSweepEqualsPerCellPath:
                            16)
         for fam in map(resonator.family, labels):
             for L in Ls:
-                grid = sweep(fam, resonator, L, deltas, amps)
+                grid = sweep(fam, L, deltas, amps)
                 for i, delta in enumerate(deltas):
                     for j, amp in enumerate(amps):
                         drive = normalize(OperatingPoint(
                             family=fam, L=L, delta_p0=float(delta),
-                            a_pin=amp), resonator)
+                            a_pin=amp))
                         ref = per_cell_point(drive, fam.intrinsic_fraction)
                         cell = grid.points[i][j]
                         for name in ("phase", "c_min", "n_branches",
@@ -249,10 +258,10 @@ class TestSweepEqualsPerCellPath:
 
 
 class TestBestJointPump:
-    def test_single_family_reduces_to_argmin(self, te00, resonator):
+    def test_single_family_reduces_to_argmin(self, te00):
         deltas = np.linspace(0.25e9, 0.45e9, 9)
         amps = np.linspace(2e6, 1.6e7, 9)
-        result, sweeps = best_joint_pump([te00], resonator, [1], deltas,
+        result, sweeps = best_joint_pump([te00], [1], deltas,
                                          amps, margin=0)
         grid = sweeps["TE00"][0]
         cm = grid.c_min_array()
@@ -261,10 +270,10 @@ class TestBestJointPump:
         assert result.amplitudes["TE00"] == pytest.approx(float(amps[j]))
         assert result.worst_c_min == pytest.approx(float(cm[i, j]))
 
-    def test_margin_keeps_distance_from_mi(self, te00, resonator):
+    def test_margin_keeps_distance_from_mi(self, te00):
         deltas = np.linspace(0.2e9, 0.55e9, 12)
         amps = np.linspace(2e6, 2.4e7, 12)
-        result, sweeps = best_joint_pump([te00], resonator, [1], deltas,
+        result, sweeps = best_joint_pump([te00], [1], deltas,
                                          amps, margin=2)
         grid = sweeps["TE00"][0]
         mi = grid.phase_array() == "MI"
@@ -274,12 +283,12 @@ class TestBestJointPump:
         window = mi[max(0, i - 2):i + 3, max(0, j - 2):j + 3]
         assert not window.any()
 
-    def test_no_feasible_point_raises(self, te00, resonator):
+    def test_no_feasible_point_raises(self, te00):
         # amplitudes far too weak for any entanglement beyond epsilon
         deltas = np.linspace(0.1e9, 0.3e9, 4)
         amps = np.linspace(1e2, 1e3, 4)
         with pytest.raises(NoFeasiblePointError):
-            best_joint_pump([te00], resonator, [1], deltas, amps)
+            best_joint_pump([te00], [1], deltas, amps)
 
 
 def synthetic_grid(rng, label, L, deltas, amps):
@@ -334,7 +343,7 @@ class TestJointPumpDecision:
                                                   amps)
                      for f in families for L in (1, 2)}
             monkeypatch.setattr(phases, "sweep",
-                                lambda fam, res, L, *a, **k:
+                                lambda fam, L, *a, **k:
                                 grids[(fam.label, L)])
             by_family = {f.label: [grids[(f.label, L)] for L in (1, 2)]
                          for f in families}
@@ -346,12 +355,12 @@ class TestJointPumpDecision:
                         assert ref is None
                     if ref is None:
                         with pytest.raises(NoFeasiblePointError):
-                            best_joint_pump(families, resonator, [1, 2],
+                            best_joint_pump(families, [1, 2],
                                             deltas, amps, epsilon_ne=eps,
                                             margin=margin)
                         outcomes.add("infeasible")
                         continue
-                    got, _ = best_joint_pump(families, resonator, [1, 2],
+                    got, _ = best_joint_pump(families, [1, 2],
                                              deltas, amps, epsilon_ne=eps,
                                              margin=margin)
                     assert repr(got) == repr(ref)
