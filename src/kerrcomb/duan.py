@@ -59,6 +59,13 @@ _V_YPLUS = np.array([0.0, 1.0, 0.0, 1.0]) / math.sqrt(2.0)
 _SYMMETRY_TOL = 1e-6  # largest symmetrization residual σ may carry
 _DELTA_GRID = 64      # periodic Δ samples seeding minimize_duan
 
+# each Δ sample's two neighbours on minimize_duan's periodic grid, and
+# the 33 sample numbers of each zoom level (see _zoom_offsets)
+_NEIGHBOURS = (np.arange(_DELTA_GRID) + np.array([[-1], [1]])) % _DELTA_GRID
+_ZOOM = np.arange(33.0)
+_NEIGHBOURS.setflags(write=False)
+_ZOOM.setflags(write=False)
+
 
 class NotSymmetricError(ValueError):
     """Covariance symmetrization residual too large (upstream bug)."""
@@ -82,9 +89,8 @@ def quadrature_covariance(spec: NoiseSpectrum) -> np.ndarray:
     cancel in this combination, so any surviving imaginary or asymmetric
     residue signals an inconsistent spectrum.
     """
-    g_plus = _U @ spec.s @ _U.T
-    g_minus = _U @ spec.s_minus @ _U.T
-    sigma_c = 0.5 * (g_plus + g_minus.T)
+    g = _U @ np.array((spec.s, spec.s_minus)) @ _U.T
+    sigma_c = 0.5 * (g[0] + g[1].T)
     resid = max(np.max(np.abs(sigma_c.imag)),
                 np.max(np.abs(sigma_c - sigma_c.T)))
     if resid > _SYMMETRY_TOL:
@@ -109,15 +115,34 @@ def _trig_coefficients(sigma: np.ndarray) -> tuple[float, ...]:
     return (const, 0.5 * (a_m - b_m), -c_m, -0.5 * (a_p - b_p), c_p)
 
 
-def duan_value(sigma: np.ndarray, theta_plus: float,
-               theta_minus: float) -> float:
-    """Witness value C at one pair of rotation angles."""
-    if not np.allclose(sigma, sigma.T, atol=1e-9):
+def _check_symmetric(sigma: np.ndarray) -> None:
+    """np.allclose(σ, σᵀ, atol=1e-9) written out, without its dispatch:
+    |σ − σᵀ| ≤ 1e-9 + 1e-5·|σᵀ| elementwise, False on NaN."""
+    if not (np.abs(sigma - sigma.T) <= 1e-9 + 1e-5 * np.abs(sigma.T)).all():
         raise NotSymmetricError("sigma must be symmetric")
+
+
+def _value(sigma: np.ndarray, theta_plus: float, theta_minus: float) -> float:
+    """``duan_value`` on a σ already checked."""
     u1 = math.cos(theta_minus) * _V_XMINUS - math.sin(theta_minus) * _V_YMINUS
     u2 = math.cos(theta_plus) * _V_YPLUS + math.sin(theta_plus) * _V_XPLUS
     return float(u1 @ sigma @ u1 + u2 @ sigma @ u2
                  - abs(math.cos(theta_plus - theta_minus)))
+
+
+def duan_value(sigma: np.ndarray, theta_plus: float,
+               theta_minus: float) -> float:
+    """Witness value C at one pair of rotation angles."""
+    _check_symmetric(sigma)
+    return _value(sigma, theta_plus, theta_minus)
+
+
+def _zoom_offsets(step: float) -> np.ndarray:
+    """np.linspace(−step, step, 33) bit for bit, by linspace's own
+    arithmetic: arange(33)·(step/16) − step, last entry exactly step."""
+    offsets = _ZOOM * (step / 16.0) - step
+    offsets[-1] = step
+    return offsets
 
 
 def minimize_duan(sigma: np.ndarray) -> DuanResult:
@@ -129,9 +154,18 @@ def minimize_duan(sigma: np.ndarray) -> DuanResult:
     −|W(Δ)| − |cos Δ|. Its slope drops at both of its kinks (W = 0 and
     Δ = π/2), so every minimum is smooth: each local minimum of a
     periodic Δ grid is zoomed (33 points over ±step, then step /= 16)
-    below 1e-10 rad, and C is evaluated at the best angles with
-    ``duan_value`` (docs/derivation.md).
+    below 1e-10 rad, and C is evaluated at the best angles as
+    ``duan_value`` does (docs/derivation.md).
+
+    σ is checked once, before the search: a shape other than 4×4
+    or a non-finite entry raises ValueError naming the defect, and an
+    asymmetric σ raises NotSymmetricError under ``duan_value``'s rule.
     """
+    if np.shape(sigma) != (4, 4):
+        raise ValueError(f"sigma must be 4x4, not {np.shape(sigma)}")
+    if not np.isfinite(sigma).all():
+        raise ValueError("sigma has non-finite entries")
+    _check_symmetric(sigma)
     _, cm2, sm2, cp2, sp2 = _trig_coefficients(sigma)
     w_minus, w_plus = complex(cm2, -sm2), complex(cp2, -sp2)
 
@@ -142,15 +176,15 @@ def minimize_duan(sigma: np.ndarray) -> DuanResult:
     step = math.pi / _DELTA_GRID
     delta = step * np.arange(_DELTA_GRID)
     f = depth(delta)
-    delta = delta[(f <= np.roll(f, 1)) & (f <= np.roll(f, -1))]
+    delta = delta[(f <= f[_NEIGHBOURS[0]]) & (f <= f[_NEIGHBOURS[1]])]
     while step > 1e-10:
-        trial = delta[:, None] + np.linspace(-step, step, 33)
+        trial = delta[:, None] + _zoom_offsets(step)
         delta = trial[np.arange(len(trial)), np.argmin(depth(trial), axis=1)]
         step /= 16.0
     d = float(delta[np.argmin(depth(delta))])
     tm = (math.pi - cmath.phase(w_minus + w_plus * cmath.exp(2j * d))) / 2.0
     tp, tm = (tm + d) % math.pi, tm % math.pi
-    c_min = duan_value(sigma, tp, tm)
+    c_min = _value(sigma, tp, tm)
     # strict negativity up to rounding: vacuum sits exactly on C = 0
     return DuanResult(c_min=c_min, theta_plus=tp, theta_minus=tm,
                       entangled=c_min < -1e-12)

@@ -26,8 +26,11 @@ The detected-field spectral density against vacuum inputs is
          + (T R(ω) T_loss) C_vac (T R(−ω) T_loss)ᵀ,
 
 with R(ω) = (iω − M)⁻¹ and the vacuum correlation C_vac carrying ones at
-the ⟨δa δa†⟩ slots only. A passive cavity returns S(ω) = C_vac for
-every ω, which is the main self-test of the sign conventions here.
+the ⟨δa δa†⟩ slots only. S(−ω) is the same expression with the two
+resolvents swapped, so the pair R(ω), R(−ω) gives both spectra, and
+``noise_spectrum`` computes them as one (2, 4, 4) stack. A passive
+cavity returns S(ω) = C_vac for every ω, which is the main self-test of
+the sign conventions here.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class NoiseSpectrum:
     """Output spectral density at ±ω (both needed for covariances).
 
     ``s`` is S(ω) and ``s_minus`` is S(−ω), computed from the same
-    resolvent.
+    pair of resolvents.
     """
 
     s: np.ndarray
@@ -134,23 +137,24 @@ def max_eigenvalue_real(sys: FluctuationSystem) -> float:
 def noise_spectrum(sys: FluctuationSystem, omega: float) -> NoiseSpectrum:
     """Output spectral noise density S at ±omega (units of Γ).
 
-    S(ω) pairs R(ω) with R(−ω) and S(−ω) pairs them the other way round,
-    so one resolvent per sign serves both.
+    iω − M and −iω − M form one (2, 4, 4) stack, so one determinant and
+    one inverse call give both resolvents, R(ω) and R(−ω). S(ω) pairs
+    R(ω) with R(−ω) and S(−ω) pairs them the other way round, so the
+    same stack, reversed, gives both spectra. A singular resolvent raises
+    SingularResolventError, +ω checked before −ω.
     """
-    gains = []
-    for w in (omega, -omega):
-        shifted = 1j * w * _EYE4 - sys.m
-        if abs(np.linalg.det(shifted)) < 1e-14:
+    signs = (omega, -omega)
+    shifted = 1j * np.array(signs)[:, None, None] * _EYE4 - sys.m
+    for w, det in zip(signs, np.linalg.det(shifted)):
+        if abs(det) < 1e-14:
             raise SingularResolventError(
                 f"iω − M singular at ω = {w:g}; state is marginal")
-        r = np.linalg.inv(shifted)
-        # T_out = T_in: each gain is t_in·R·t_in or t_in·R·t_loss
-        gains.append((sys.t_in * r * sys.t_in - _EYE4,
-                      sys.t_in * r * sys.t_loss))
-    (in_p, loss_p), (in_m, loss_m) = gains
-    s = in_p @ C_VAC @ in_m.T + loss_p @ C_VAC @ loss_m.T
-    s_minus = in_m @ C_VAC @ in_p.T + loss_m @ C_VAC @ loss_p.T
-    return NoiseSpectrum(s=s, s_minus=s_minus)
+    # T_out = T_in: each gain is t_in·R·t_in or t_in·R·t_loss
+    r = sys.t_in * np.linalg.inv(shifted)
+    gain_in, gain_loss = r * sys.t_in - _EYE4, r * sys.t_loss
+    s = (gain_in @ C_VAC @ gain_in[::-1].swapaxes(1, 2)
+         + gain_loss @ C_VAC @ gain_loss[::-1].swapaxes(1, 2))
+    return NoiseSpectrum(s=s[0], s_minus=s[1])
 
 
 def intracavity_pair_photons(sys: FluctuationSystem) -> float:

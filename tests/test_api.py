@@ -1,11 +1,14 @@
-"""The public API takes only what it reads.
+"""The public API takes only what it reads, and imports only numpy.
 
 The library counterpart of the CLI's unread-flag check: every parameter
 of a module-level function named in a module's ``__all__`` must be read
-somewhere in that function's body.
+somewhere in that function's body. The package declares numpy as its
+one dependency, so importing the CLI loads no other third-party module.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,15 @@ def test_public_functions_read_every_parameter(path):
 def test_guard_sees_an_unread_parameter():
     fn = ast.parse("def f(a, b, *c, d=1):\n    return a + d\n").body[0]
     assert _unread_parameters(fn) == ["b", "c"]
+
+
+def test_cli_imports_no_third_party_module_but_numpy():
+    probe = ("import sys; before = set(sys.modules); import kerrcomb.cli; "
+             "print(*sorted({m.split('.')[0] "
+             "for m in set(sys.modules) - before}))")
+    src = str(Path(kerrcomb.__file__).parents[1])
+    loaded = subprocess.run([sys.executable, "-c", probe], cwd=src,
+                            capture_output=True, text=True, check=True,
+                            timeout=60).stdout.split()
+    third_party = set(loaded) - set(sys.stdlib_module_names) - {"kerrcomb"}
+    assert third_party == {"numpy"}

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrcomb import oracle, phases
+from kerrcomb import duan, oracle, phases
 from kerrcomb.duan import (
+    _NEIGHBOURS,
     NotSymmetricError,
     _trig_coefficients,
+    _zoom_offsets,
     duan_value,
     minimize_duan,
     pump_only_witness,
@@ -138,6 +140,17 @@ class TestQuadratureCovariance:
         # X1X2 and Y1Y2 correlations carry opposite signs
         assert sigma[0, 2] * sigma[1, 3] < 0.0
 
+    def test_stack_equals_two_transforms(self, rng):
+        u = duan._U
+        for _ in range(40):
+            state = pump_only_branches(float(rng.uniform(0.05, 1.3)),
+                                       float(rng.uniform(-1.5, 1.5)))[0]
+            spec = noise_spectrum(build_m(state, float(rng.uniform(-1, 2))),
+                                  float(rng.uniform(-3.0, 3.0)))
+            two = 0.5 * (u @ spec.s @ u.T + (u @ spec.s_minus @ u.T).T).real
+            assert np.array_equal(quadrature_covariance(spec),
+                                  0.5 * (two + two.T))
+
     def test_corrupted_spectrum_rejected(self):
         spec = noise_spectrum(build_m(empty_state(), 0.4), 0.0)
         bad = NoiseSpectrum(s=spec.s + 0.5j, s_minus=spec.s_minus)
@@ -173,7 +186,67 @@ class TestDuanValue:
             duan_value(bad, 0.0, 0.0)
 
 
+class TestSearchSchedule:
+    """minimize_duan's dispatch-free steps equal the numpy calls they
+    replace, bit for bit."""
+
+    def test_zoom_offsets_are_linspace(self):
+        step, levels = math.pi / 64, 0
+        while step > 1e-10:
+            assert np.array_equal(_zoom_offsets(step),
+                                  np.linspace(-step, step, 33))
+            step /= 16.0
+            levels += 1
+        assert levels == 8
+
+    def test_neighbour_mask_is_roll(self, rng):
+        for _ in range(100):
+            f = rng.integers(0, 4, size=64).astype(float)  # many ties
+            mask = (f <= f[_NEIGHBOURS[0]]) & (f <= f[_NEIGHBOURS[1]])
+            rolled = (f <= np.roll(f, 1)) & (f <= np.roll(f, -1))
+            assert np.array_equal(mask, rolled)
+
+    def test_symmetry_rule_is_allclose(self):
+        decisions = set()
+        for seed in range(200):
+            sigma = seeded_sigma(seed) * (1.0 if seed % 2 else 1e-5)
+            i, j = [(0, 1), (0, 3), (1, 2), (2, 3)][seed % 4]
+            bound = 1e-9 + 1e-5 * abs(sigma[j, i])
+            for factor in (0.999, 1.001):
+                bad = sigma.copy()
+                bad[i, j] = sigma[j, i] + (-1) ** seed * factor * bound
+                expected = np.allclose(bad, bad.T, atol=1e-9)
+                try:
+                    duan_value(bad, 0.3, 1.1)
+                    accepted = True
+                except NotSymmetricError:
+                    accepted = False
+                assert accepted == expected
+                decisions.add((factor, accepted))
+        assert decisions == {(0.999, True), (1.001, False)}
+
+
 class TestMinimizeDuan:
+    def test_non_finite_entry_rejected(self):
+        bad = VACUUM.copy()
+        bad[1, 2] = bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            minimize_duan(bad)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"4x4, not \(3, 3\)"):
+            minimize_duan(0.5 * np.eye(3))
+
+    def test_asymmetric_rejected_before_search(self, monkeypatch):
+        def searched(sigma):
+            raise AssertionError("the search ran on an asymmetric sigma")
+
+        monkeypatch.setattr(duan, "_trig_coefficients", searched)
+        bad = VACUUM.copy()
+        bad[0, 1] = 0.3
+        with pytest.raises(NotSymmetricError):
+            minimize_duan(bad)
+
     def test_reported_angles_reach_c_min(self, rng):
         sigmas = [VACUUM, squeezer_sigma()]
         sigmas += [random_physical_sigma(rng) for _ in range(40)]

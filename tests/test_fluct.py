@@ -101,7 +101,43 @@ class TestBuildM:
             assert np.max(np.delete(eigs, null).real) < 0.0
 
 
+def per_sign_spectrum(sys_, omega):
+    """S(ω) and S(−ω) with one resolvent inverted per sign, the loop the
+    stacked noise_spectrum must match bit for bit."""
+    eye, gains = np.eye(4), []
+    for w in (omega, -omega):
+        r = np.linalg.inv(1j * w * eye - sys_.m)
+        gains.append((sys_.t_in * r * sys_.t_in - eye,
+                      sys_.t_in * r * sys_.t_loss))
+    (in_p, loss_p), (in_m, loss_m) = gains
+    return (in_p @ C_VAC @ in_m.T + loss_p @ C_VAC @ loss_m.T,
+            in_m @ C_VAC @ in_p.T + loss_m @ C_VAC @ loss_p.T)
+
+
 class TestNoiseSpectrum:
+    def test_stack_equals_per_sign_loop(self, rng):
+        systems = []
+        while len(systems) < 40:
+            f = float(rng.uniform(0.1, 2.5))
+            dtp = float(rng.uniform(-1.0, 4.0))
+            dtl = dtp + float(rng.uniform(-0.3, 0.3))
+            eta = float(rng.uniform(0.05, 0.95))
+            states = pump_only_branches(f, dtp) + parametric_branch(f, dtp,
+                                                                    dtl)
+            systems += [build_m(s, dtl, intrinsic_fraction=eta)
+                        for s in states]
+        assert any(s.m[0, 1] != 0.0 for s in systems)  # parametric states
+        for sys_ in systems:
+            w = float(rng.uniform(0.05, 3.0))
+            for omega in (0.0, w, -w):
+                try:
+                    spec = noise_spectrum(sys_, omega)
+                except SingularResolventError:
+                    continue
+                s, s_minus = per_sign_spectrum(sys_, omega)
+                assert np.array_equal(spec.s, s)
+                assert np.array_equal(spec.s_minus, s_minus)
+
     def test_vacuum_preserved_without_drive(self):
         sys_ = build_m(empty_state(), 0.7)
         for w in np.linspace(-4.0, 4.0, 101):
@@ -135,7 +171,8 @@ class TestNoiseSpectrum:
                             branch=Branch.PUMP_ONLY, stable=True)
         sys_ = build_m(state, dtl)
         assert abs(max_eigenvalue_real(sys_)) < 1e-9
-        with pytest.raises(SingularResolventError):
+        with pytest.raises(SingularResolventError,
+                           match="singular at ω = 0; state is marginal"):
             noise_spectrum(sys_, 0.0)
 
 
