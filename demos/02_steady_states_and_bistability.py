@@ -53,7 +53,7 @@ init = oracle.MeanFieldState(
     math.sqrt(state.a2) * np.exp(1j * pair) * 0.999,
     math.sqrt(state.a2) * np.exp(1j * pair))
 drive = NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtp)
-final = oracle.relax_to_steady(init, drive, t_end=300.0, dt=0.01)
+final = oracle.relax_to_steady(init, drive, t_end=300.0)
 print(f"\nrelaxed pump power {abs(final[0])**2:.9f} "
       f"vs algebraic {state.ap2:.9f}")
 print(f"relaxed pair power {abs(final[1])**2:.9f} "

@@ -382,7 +382,8 @@ def _oracle_duan_grid(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _oracle_mean_field(args, cfg: RunConfig, out: Path) -> list[Path]:
     drive, _ = _operating_point(args, cfg)
-    _require(args.dt > 0 and args.t_end > 0, "--dt and --t-end must be > 0")
+    _require(0 < args.dt < math.inf and 0 < args.t_end < math.inf,
+             "--dt and --t-end must be > 0 and finite")
     init = oracle.MeanFieldState(args.alpha0, args.alpha0, args.alpha0)
     times, traj = oracle.integrate_mean_field(init, drive, args.t_end,
                                               args.dt, sample_every=50)
@@ -414,8 +415,10 @@ def _oracle_langevin(args, cfg: RunConfig, out: Path) -> list[Path]:
     burn = oracle.LANGEVIN_BURN_IN
     _require(args.n_samples >= oracle.MIN_LANGEVIN_SAMPLES,
              f"--n-samples must be at least {oracle.MIN_LANGEVIN_SAMPLES}")
-    _require(args.dt > 0 and args.t_end >= burn + args.dt,
-             f"--dt must be > 0 and --t-end at least {burn:g} + --dt")
+    _require(0 < args.dt < math.inf
+             and burn + args.dt <= args.t_end < math.inf,
+             f"--dt must be > 0 and --t-end at least {burn:g} + --dt, "
+             "both finite")
     sys_ = fluct.build_m(phases.operating_state(drive, intrinsic).state,
                          drive.dtl, intrinsic_fraction=intrinsic)
     cov, se = oracle.langevin_covariance(
@@ -583,8 +586,10 @@ def build_parser() -> argparse.ArgumentParser:
     sigma = argparse.ArgumentParser(add_help=False)
     sigma.add_argument("--sigma-json", help="path to a 4x4 covariance JSON")
     integrate = argparse.ArgumentParser(add_help=False)
-    integrate.add_argument("--t-end", type=float, default=200.0)
-    integrate.add_argument("--dt", type=float, default=0.01)
+    integrate.add_argument("--t-end", type=float, default=200.0,
+                           help="integration time in units of 1/Γ")
+    integrate.add_argument("--dt", type=float, default=0.01,
+                           help="time step in units of 1/Γ")
 
     def leaf(group, name: str, handler, *parents, **kw):
         p = group.add_parser(name, parents=[io, *parents], **kw)

@@ -3,11 +3,12 @@
 Everything here re-derives results by a different numerical route than
 the production modules and shares no numerical code with them beyond the
 domain types: the classical three-mode equations are integrated in time
-(fixed-step RK4), the fluctuation generator is rebuilt by central finite
-differences of that vector field, stationary covariances are estimated
-by Euler-Maruyama sampling of the linear Langevin system, and the
-entanglement witness is minimized by exhaustive grid scan. All of it is
-deterministic given explicit seeds and step sizes.
+(fixed-step RK4 for trajectories, adaptive Dormand-Prince 5(4) for
+relaxation to an endpoint), the fluctuation generator is rebuilt by
+central finite differences of that vector field, stationary covariances
+are estimated by Euler-Maruyama sampling of the linear Langevin system,
+and the entanglement witness is minimized by exhaustive grid scan. All
+of it is deterministic given explicit seeds, step sizes and tolerances.
 
 The Langevin sampler works in the symmetric-ordering (Wigner) picture:
 vacuum inputs become complex white noise of variance ½ per unit
@@ -32,6 +33,7 @@ __all__ = [
     "UnstableError",
     "mean_field_rhs",
     "integrate_mean_field",
+    "relax_batch",
     "relax_to_steady",
     "fd_jacobian",
     "langevin_covariance",
@@ -41,10 +43,18 @@ __all__ = [
 MIN_LANGEVIN_SAMPLES = 1000
 LANGEVIN_BURN_IN = 50.0
 MIN_DUAN_GRID = 64
+# adaptive relaxation: per-mode local error within ATOL + RTOL·|α|; a
+# step below RELAX_MIN_STEP·t_end means the trajectory is blowing up
+RELAX_RTOL = RELAX_ATOL = 1e-12
+RELAX_FIRST_STEP = 1e-3
+RELAX_MIN_STEP = 1e-9
+# normals drawn per block of Langevin chunks (0.5 MB of float64)
+NOISE_BLOCK_NORMALS = 1 << 16
 
 
 class NonFiniteError(FloatingPointError):
-    """Trajectory blew up (non-finite amplitude encountered)."""
+    """Trajectory blew up: a non-finite amplitude, or an adaptive step
+    that underflows."""
 
 
 class UnstableError(ValueError):
@@ -68,6 +78,11 @@ class MeanFieldState:
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha_p, self.alpha_minus, self.alpha_plus],
                         dtype=complex)
+
+
+def _require_time(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def _rhs_detached(a_p, a_p_c, a_m, a_m_c, a_q, a_q_c, f_norm, dtp, dtl):
@@ -118,8 +133,8 @@ def integrate_mean_field(init: MeanFieldState, drive: NormalizedDrive,
     Returns (times, amplitudes[n, 3]). Raises NonFiniteError on blow-up,
     reporting the time reached.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    _require_time("t_end", t_end)
+    _require_time("dt", dt)
     n_steps = int(round(t_end / dt))
     amps = init.as_array()
     times = [0.0]
@@ -157,8 +172,8 @@ def integrate_mean_field_batch(init: np.ndarray, f_norm: np.ndarray,
     init has shape (3, n); the drive arrays broadcast against it. Used
     by relaxation checks that push hundreds of perturbed states at once.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    _require_time("t_end", t_end)
+    _require_time("dt", dt)
     amps = np.array(init, dtype=complex)
     for _ in range(int(round(t_end / dt))):
         k1 = mean_field_rhs_batch(amps, f_norm, dtp, dtl)
@@ -171,9 +186,81 @@ def integrate_mean_field_batch(init: np.ndarray, f_norm: np.ndarray,
     return amps
 
 
+# Dormand-Prince 5(4): stage rows a_2..a_6, fifth-order weights (also
+# the FSAL stage row) and fifth-minus-fourth-order error weights
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
+
+
+def relax_batch(init: np.ndarray, f_norm, dtp, dtl,
+                t_end: float) -> np.ndarray:
+    """Adaptive endpoint at t_end for a batch of independent drives.
+
+    Dormand-Prince 5(4) with first-same-as-last stages (Dormand & Prince,
+    J. Comput. Appl. Math. 6, 19 (1980)) over ``mean_field_rhs_batch``.
+    Every column keeps its own time, step size and acceptance, so it
+    ends bit for bit where it would end if relaxed alone; the last step
+    is clipped to land on t_end. A step is accepted when its local
+    error is within RELAX_ATOL + RELAX_RTOL·|α| in every mode; an
+    overflowing trial step counts as rejected. Raises NonFiniteError
+    when a step falls below RELAX_MIN_STEP·t_end (10⁹ steps to go),
+    which no bounded trajectory at a physical drive needs.
+    """
+    _require_time("t_end", t_end)
+    amps = np.array(init, dtype=complex)
+    n = amps.shape[1]
+    drives = [np.broadcast_to(np.asarray(v, dtype=float), (n,))
+              for v in (f_norm, dtp, dtl)]
+    live = np.arange(n)
+    y = amps.copy()
+    k1 = mean_field_rhs_batch(y, *drives)
+    t = np.zeros(n)
+    h = np.full(n, min(RELAX_FIRST_STEP, t_end))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live.size:
+            drv = [d[live] for d in drives]
+            h = np.minimum(h, t_end - t)
+            ks = [k1]
+            for row in _DP_A:
+                stage = y + h * sum(a * k for a, k in zip(row, ks) if a)
+                ks.append(mean_field_rhs_batch(stage, *drv))
+            y_new = y + h * sum(b * k for b, k in zip(_DP_B, ks) if b)
+            ks.append(mean_field_rhs_batch(y_new, *drv))
+            err_vec = h * sum(e * k for e, k in zip(_DP_E, ks) if e)
+            scale = RELAX_ATOL + RELAX_RTOL * np.maximum(np.abs(y),
+                                                         np.abs(y_new))
+            err = np.max(np.abs(err_vec) / scale, axis=0)
+            err[~np.isfinite(err)] = np.inf  # an overflowing trial step
+            ok = err <= 1.0
+            t = np.where(ok, np.where(h == t_end - t, t_end, t + h), t)
+            y = np.where(ok, y_new, y)
+            k1 = np.where(ok, ks[-1], k1)
+            # safety 0.9; shrink at most 5×, grow at most 10× and never
+            # right after a rejection
+            h = h * np.clip(0.9 * err ** -0.2, 0.2, np.where(ok, 10.0, 1.0))
+            if np.any(h < RELAX_MIN_STEP * t_end):
+                raise NonFiniteError(
+                    f"step size underflow at t = {float(np.min(t)):g}: "
+                    "the trajectory diverges")
+            done = t == t_end
+            if np.any(done):
+                amps[:, live[done]] = y[:, done]
+                keep = ~done
+                live, y, k1, t, h = (live[keep], y[:, keep], k1[:, keep],
+                                     t[keep], h[keep])
+    return amps
+
+
 def relax_to_steady(init: MeanFieldState, drive: NormalizedDrive,
-                    t_end: float = 200.0, dt: float = 0.01,
-                    settle_tol: float = 1e-10,
+                    t_end: float = 200.0, settle_tol: float = 1e-10,
                     max_extensions: int = 20) -> np.ndarray:
     """Integrate until the vector field is numerically quiet.
 
@@ -181,16 +268,12 @@ def relax_to_steady(init: MeanFieldState, drive: NormalizedDrive,
     the run in chunks when the field is still moving. Callers should
     re-check the residual if they need a hard guarantee.
     """
-    _, traj = integrate_mean_field(init, drive, t_end, dt,
-                                   sample_every=max(1, int(t_end / dt)))
-    amps = traj[-1]
+    args = (drive.f_norm, drive.dtp, drive.dtl)
+    amps = relax_batch(init.as_array()[:, None], *args, t_end)[:, 0]
     for _ in range(max_extensions):
         if np.max(np.abs(mean_field_rhs(amps, drive))) < settle_tol:
             break
-        _, tail = integrate_mean_field(MeanFieldState(*amps), drive,
-                                       25.0, dt,
-                                       sample_every=int(25.0 / dt))
-        amps = tail[-1]
+        amps = relax_batch(amps[:, None], *args, 25.0)[:, 0]
     return amps
 
 
@@ -261,6 +344,14 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
     of the step-by-step chain, with eight normals per trajectory and
     chunk.
 
+    The normals are drawn for a block of chunks at once: each batch
+    generator fills its own trajectory columns of a (chunks, 8, n)
+    buffer of about NOISE_BLOCK_NORMALS values with one call. A
+    generator's (k, 8, n_b) draw is its k successive (8, n_b) draws in
+    order, and the window residue is still drawn after the last chunk,
+    so every generator yields the same numbers in the same places as
+    one draw per chunk, and the result is bitwise unchanged.
+
     Returns (covariance, standard_errors), both 4×4, from batch means
     over ``n_batches`` trajectory groups. Deterministic for a given
     seed; batch seeds are spawned up front so the result does not depend
@@ -268,8 +359,8 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
     """
     if n_samples < MIN_LANGEVIN_SAMPLES:
         raise ValueError("n_samples must be >= 1e3 for meaningful errors")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    _require_time("t_end", t_end)
+    _require_time("dt", dt)
     if not 0.0 <= t_burn < t_end:
         raise ValueError("need 0 <= t_burn < t_end")
     if not 2 <= n_batches <= n_samples:
@@ -316,16 +407,22 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
         vals, vecs = np.linalg.eigh(cov)
         return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
+    chunks = [(min(span_max, steps - done), observe)
+              for steps, observe in ((n_burn, False), (n_obs, True))
+              for done in range(0, steps, span_max)]
+    block = max(1, NOISE_BLOCK_NORMALS // (8 * n_samples))
+    normals = np.empty((min(block, len(chunks)), 8, n_samples))
     state = np.zeros((4, n_samples))
     out_sum = np.zeros((4, n_samples))
-    for phase_steps, observe in ((n_burn, False), (n_obs, True)):
-        for done in range(0, phase_steps, span_max):
-            span = min(span_max, phase_steps - done)
+    for first in range(0, len(chunks), block):
+        todo = chunks[first:first + block]
+        for b, g in enumerate(gens):
+            normals[:len(todo), :, edges[b]:edges[b + 1]] = g.standard_normal(
+                (len(todo), 8, per_batch[b]))
+        for (span, observe), draw in zip(todo, normals):
             if span not in roots:
                 roots[span] = noise_root(span)
-            normals = np.hstack([g.standard_normal((8, n))
-                                 for g, n in zip(gens, per_batch)])
-            step = lift[span] @ state + roots[span] @ normals
+            step = lift[span] @ state + roots[span] @ draw
             state = step[:4]
             if observe:
                 out_sum += step[4:]

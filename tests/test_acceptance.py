@@ -151,8 +151,7 @@ def test_criterion_03_steady_oracle_equivalence(rng):
     f_arr = np.array([c[0] for c in cases])
     dtp_arr = np.array([c[1] for c in cases])
     dtl_arr = np.array([c[2] for c in cases])
-    final = oracle.integrate_mean_field_batch(init, f_arr, dtp_arr, dtl_arr,
-                                              t_end=300.0, dt=0.02)
+    final = oracle.relax_batch(init, f_arr, dtp_arr, dtl_arr, t_end=300.0)
     targets_x = np.array([b.ap2 for _, _, _, b in cases])
     targets_y = np.array([b.a2 for _, _, _, b in cases])
 
@@ -166,9 +165,9 @@ def test_criterion_03_steady_oracle_equivalence(rng):
     for _ in range(4):
         if pending.size == 0:
             break
-        final[:, pending] = oracle.integrate_mean_field_batch(
+        final[:, pending] = oracle.relax_batch(
             final[:, pending], f_arr[pending], dtp_arr[pending],
-            dtl_arr[pending], t_end=600.0, dt=0.02)
+            dtl_arr[pending], t_end=600.0)
         pending = misses(final)
     assert pending.size == 0, f"{pending.size} branches failed to return"
     elapsed = time.perf_counter() - t0

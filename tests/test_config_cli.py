@@ -143,6 +143,10 @@ class TestCli:
           "--grid-n", "10"], "--grid-n must be >= 64"),
         (["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
           "--dtl", "1.6", "--dt", "0"], "--dt and --t-end must be > 0"),
+        (["oracle", "langevin", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6", "--t-end", "inf"], "both finite"),
+        (["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6", "--t-end", "inf"], "> 0 and finite"),
         (["phase-diagram", "--family", "TE00", "--grid", "2",
           "--workers", "0"], "--workers must be >= 1"),
         (["duan", "--sigma-json", "sigma.json", "--f-norm", "1.2", "--dtp",
@@ -163,6 +167,7 @@ class TestCli:
             "f-norm-with-physical-point", "steady-f-norm-with-L",
             "duan-f-norm-with-default-L", "zero-span", "negative-tolerance",
             "langevin-inside-burn-in", "duan-grid-coarse", "zero-dt",
+            "langevin-infinite-t-end", "mean-field-infinite-t-end",
             "zero-workers", "sigma-json-with-drive", "sigma-json-with-family",
             "sigma-json-with-L", "sigma-json-with-default-L",
             "sigma-json-with-default-omega"])

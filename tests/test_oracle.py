@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +41,20 @@ class TestMeanField:
         with pytest.raises(oracle.NonFiniteError):
             oracle.integrate_mean_field(init, drive, 50.0, 0.5)
 
+    @pytest.mark.parametrize("t_end, dt, match", [
+        (math.inf, 0.01, "t_end"), (math.nan, 0.01, "t_end"),
+        (-1.0, 0.01, "t_end"), (10.0, math.inf, "dt"), (10.0, 0.0, "dt"),
+    ], ids=["infinite_t_end", "nan_t_end", "negative_t_end", "infinite_dt",
+            "zero_dt"])
+    def test_bad_times_rejected(self, t_end, dt, match):
+        drive = drive_of(0.5, 0.2, 0.2)
+        init = oracle.MeanFieldState(0.1, 0.0, 0.0)
+        with pytest.raises(ValueError, match=match):
+            oracle.integrate_mean_field(init, drive, t_end, dt)
+        with pytest.raises(ValueError, match=match):
+            oracle.integrate_mean_field_batch(init.as_array()[:, None], 0.5,
+                                              0.2, 0.2, t_end, dt)
+
     def test_batch_matches_scalar(self, rng):
         drives = [(float(rng.uniform(0.1, 1.0)), float(rng.uniform(-1, 2)))
                   for _ in range(5)]
@@ -52,6 +68,57 @@ class TestMeanField:
                 oracle.MeanFieldState(*init[:, k]), drive_of(fk, dk, dk),
                 10.0, 0.02, sample_every=10000)
             assert np.max(np.abs(traj[-1] - batch[:, k])) < 1e-12
+
+
+class TestRelaxBatch:
+    @staticmethod
+    def _perturbed_states(rng):
+        """19 pump-only roots plus one a step from the fold, perturbed."""
+        f = [float(rng.uniform(0.2, 1.2)) for _ in range(19)]
+        dtp = [float(rng.uniform(-1.0, 1.5)) for _ in range(19)]
+        init = [[math.sqrt(s.ap2) * np.exp(-1j * s.psi), 0.0, 0.0]
+                for s in (pump_only_branches(*d)[0] for d in zip(f, dtp))]
+        # lower root where x² − (Δ̃ − 2x)² = 0.98², so the slow
+        # eigenvalue of M is −1 + 0.98 = −0.02
+        d, x = 2.5, (5.0 - math.sqrt(6.25 - 3 * 0.98 ** 2)) / 3.0
+        f.append(math.sqrt(x * (1.0 + (d - x) ** 2)))
+        dtp.append(d)
+        init.append([f[-1] / (1.0 + 1j * (d - x)), 0.0, 0.0])
+        init = np.array(init).T
+        init += 1e-3 * (rng.standard_normal(init.shape)
+                        + 1j * rng.standard_normal(init.shape))
+        return init, np.array(f), np.array(dtp)
+
+    def test_columns_step_alone(self, rng):
+        init, f, dtp = self._perturbed_states(rng)
+        batch = oracle.relax_batch(init, f, dtp, dtp, t_end=5.0)
+        for k in range(init.shape[1]):
+            alone = oracle.relax_batch(init[:, [k]], f[k], dtp[k], dtp[k],
+                                       t_end=5.0)
+            assert np.array_equal(batch[:, k], alone[:, 0])
+
+    def test_matches_fine_rk4(self, rng):
+        init, f, dtp = self._perturbed_states(rng)
+        adaptive = oracle.relax_batch(init, f, dtp, dtp, t_end=20.0)
+        rk4 = oracle.integrate_mean_field_batch(init, f, dtp, dtp,
+                                                t_end=20.0, dt=0.01)
+        assert np.max(np.abs(adaptive - rk4)) < 1e-10
+
+    def test_blowup_detected(self):
+        init = np.full((3, 1), 1e3 + 0j)
+        with pytest.raises(oracle.NonFiniteError):
+            oracle.relax_batch(init, 1e8, 0.0, 0.0, t_end=50.0)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_t_end_rejected(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            oracle.relax_batch(np.zeros((3, 1)), 0.5, 0.2, 0.2, t_end)
+
+    def test_imports_numpy_only(self):
+        code = ("import sys; from kerrcomb import oracle; "
+                "oracle.relax_batch([[0.1], [0], [0]], 0.5, 0.2, 0.2, 1.0); "
+                "assert 'scipy' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestFdJacobian:
@@ -131,8 +198,13 @@ class TestLangevin:
         ({"dt": -0.01}, "dt"),
         ({"t_burn": -5.0}, "t_burn"),
         ({"m": np.diag([-1.0 + 0j, -1.0, -1.0, -2.0])}, "conjugate"),
+        ({"t_end": math.inf}, "t_end"),
+        ({"t_end": math.nan}, "t_end"),
+        ({"dt": math.inf}, "dt"),
+        ({"dt": math.nan}, "dt"),
     ], ids=["one_batch", "more_batches_than_samples", "zero_dt",
-            "negative_dt", "negative_burn", "unpaired_m"])
+            "negative_dt", "negative_burn", "unpaired_m", "infinite_t_end",
+            "nan_t_end", "infinite_dt", "nan_dt"])
     def test_bad_input_rejected(self, kwargs, match):
         args = {"m": build_m(pump_only_branches(0.7, 0.4)[0], 0.4).m,
                 "intrinsic_fraction": 0.45, "n_samples": 1000,
@@ -170,6 +242,87 @@ class TestLangevin:
         exact = (u @ p[4:, 4:] @ u.conj().T).real / t_obs
         z = (cov - exact) / se
         assert np.max(np.abs(z)) < 3.0
+
+
+def _per_chunk_langevin(m, intrinsic_fraction, n_samples, t_end, dt, seed,
+                        t_burn, n_batches):
+    """The sampler with one draw per generator and chunk, as a reference.
+
+    Same chain, lift and noise roots as ``oracle.langevin_covariance``,
+    but every generator draws its (8, n_b) normals afresh for each
+    128-step chunk and the batches are joined with ``np.hstack``.
+    """
+    pairs = np.kron(np.eye(2), [[1.0, 1.0j], [1.0, -1.0j]])
+    m_real = np.linalg.solve(pairs, m @ pairs).real
+    t_in = math.sqrt(2.0 * (1.0 - intrinsic_fraction))
+    t_loss = math.sqrt(2.0 * intrinsic_fraction)
+    n_burn = int(round(t_burn / dt))
+    n_obs = int(round((t_end - t_burn) / dt))
+    t_obs = n_obs * dt
+    gens = [np.random.default_rng(ss)
+            for ss in np.random.SeedSequence(seed).spawn(n_batches)]
+    per_batch = [n_samples // n_batches] * n_batches
+    for i in range(n_samples % n_batches):
+        per_batch[i] += 1
+    edges = np.concatenate(([0], np.cumsum(per_batch)))
+    stepper = np.eye(4) + dt * m_real
+    powers = [np.eye(4)]
+    for _ in range(128):
+        powers.append(stepper @ powers[-1])
+    sums = np.cumsum([np.zeros((4, 4))] + powers[:-1], axis=0)
+    lift = np.concatenate((powers, (t_in * dt) * sums), axis=1)
+    kick = np.vstack((np.zeros((4, 4)), (t_in / 2.0) * np.eye(4)))
+
+    def noise_root(span):
+        gain = lift[:span] - kick
+        cov = (dt / 2.0) * np.einsum("kab,kcb->ac", gain, gain)
+        vals, vecs = np.linalg.eigh(cov)
+        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+    state = np.zeros((4, n_samples))
+    out_sum = np.zeros((4, n_samples))
+    for phase_steps, observe in ((n_burn, False), (n_obs, True)):
+        for done in range(0, phase_steps, 128):
+            span = min(128, phase_steps - done)
+            normals = np.hstack([g.standard_normal((8, n))
+                                 for g, n in zip(gens, per_batch)])
+            step = lift[span] @ state + noise_root(span) @ normals
+            state = step[:4]
+            if observe:
+                out_sum += step[4:]
+    xi_scale = (t_loss / 2.0) * math.sqrt(t_obs / 2.0)
+    out_sum -= xi_scale * np.hstack([g.standard_normal((4, n))
+                                     for g, n in zip(gens, per_batch)])
+    quad = math.sqrt(2.0) * out_sum / t_obs
+    batch_covs = np.zeros((n_batches, 4, 4))
+    for b in range(n_batches):
+        q = quad[:, edges[b]:edges[b + 1]]
+        est = t_obs * (q @ q.T) / per_batch[b]
+        batch_covs[b] = 0.5 * (est + est.T)
+    return (batch_covs.mean(axis=0),
+            batch_covs.std(axis=0, ddof=1) / math.sqrt(n_batches))
+
+
+class TestLangevinBlockDraw:
+    # a block holds NOISE_BLOCK_NORMALS // (8·n_samples) chunks of up to
+    # 128 steps: 8 chunks at 1000 samples, 1 chunk from 8193 samples on
+    @pytest.mark.parametrize("n_samples, n_batches, dt, n_burn, n_obs", [
+        (1001, 50, 1 / 16, 129, 300),
+        (1000, 25, 1 / 16, 5 * 128, 6 * 128),
+        (1000, 25, 0.5, 1, 2),
+        (1000, 7, 1 / 16, 3 * 128 + 5, 2 * 128),
+        (9000, 3, 1 / 16, 129, 44),
+    ], ids=["uneven_batches", "final_partial_block", "single_step_chunks",
+            "block_spans_burn_in", "one_chunk_per_block"])
+    def test_same_stream_as_per_chunk_draws(self, n_samples, n_batches, dt,
+                                            n_burn, n_obs):
+        m = build_m(pump_only_branches(1.0, 1.2)[0], 1.1).m
+        args = (m, 0.45, n_samples, (n_burn + n_obs) * dt, dt, 17,
+                n_burn * dt, n_batches)
+        cov, se = oracle.langevin_covariance(*args)
+        ref_cov, ref_se = _per_chunk_langevin(*args)
+        assert np.array_equal(cov, ref_cov)
+        assert np.array_equal(se, ref_se)
 
 
 class TestBruteForceDuan:

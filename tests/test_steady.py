@@ -399,7 +399,7 @@ class TestRelaxation:
                                               + 1j * rng.standard_normal(3))
             final = oracle.relax_to_steady(
                 oracle.MeanFieldState(*amps), drive_of(f, dtp, dtl),
-                t_end=80.0, dt=0.02)
+                t_end=80.0)
             assert abs(abs(final[0]) ** 2 - s.ap2) < 1e-6
 
     def test_middle_root_escapes_to_outer_branch(self, rng):
@@ -409,8 +409,7 @@ class TestRelaxation:
         amps = amplitudes_of(middle)
         amps[0] *= 1.0 + 1e-5
         final = oracle.relax_to_steady(oracle.MeanFieldState(*amps),
-                                       drive_of(f, 2.5, 2.5), t_end=400.0,
-                                       dt=0.02)
+                                       drive_of(f, 2.5, 2.5), t_end=400.0)
         landed = abs(final[0]) ** 2
         assert (abs(landed - low.ap2) < 1e-6
                 or abs(landed - high.ap2) < 1e-6)
