@@ -6,7 +6,11 @@ duan-grid} and reproduce {fig2 ... fig7}. Each is an argparse leaf that
 takes, after the command name, only the flags its handler reads. Outputs
 are CSV/JSON/SVG files in --out plus a manifest.json carrying the config
 digest, per-file checksums and those flags (--workers aside: sweeps run
-in the calling process, so it is accepted but unread).
+in the calling process, so it is accepted but unread). Every float flag
+must be finite: a NaN or infinite value is a usage error naming the flag,
+raised before any handler runs. ``oracle mean-field`` reports the
+adaptive Dormand-Prince endpoint of the mean-field equations at --t-end
+from all three amplitudes at --alpha0, and that endpoint's residual.
 
 Exit codes: 0 success, 1 computation error, 2 configuration or usage
 error, 3 outputs written but some sweep cells raised (each such cell is
@@ -43,6 +47,13 @@ class UsageError(Exception):
 def _require(cond: bool, problem: str) -> None:
     if not cond:
         raise UsageError(problem)
+
+
+def _require_finite(args) -> None:
+    """Every float flag value is finite; else a usage error naming it."""
+    for dest, value in vars(args).items():
+        _require(not isinstance(value, float) or math.isfinite(value),
+                 f"--{dest.replace('_', '-')} must be finite, not {value}")
 
 
 def _fmt_cell(value) -> str:
@@ -382,14 +393,13 @@ def _oracle_duan_grid(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _oracle_mean_field(args, cfg: RunConfig, out: Path) -> list[Path]:
     drive, _ = _operating_point(args, cfg)
-    _require(0 < args.dt < math.inf and 0 < args.t_end < math.inf,
-             "--dt and --t-end must be > 0 and finite")
-    init = oracle.MeanFieldState(args.alpha0, args.alpha0, args.alpha0)
-    times, traj = oracle.integrate_mean_field(init, drive, args.t_end,
-                                              args.dt, sample_every=50)
-    resid = oracle.mean_field_rhs(traj[-1], drive)
+    _require(args.t_end > 0, "--t-end must be > 0")
+    final = oracle.relax_batch(np.full((3, 1), complex(args.alpha0)),
+                               drive.f_norm, drive.dtp, drive.dtl,
+                               args.t_end)[:, 0]
+    resid = oracle.mean_field_rhs(final, drive)
     payload = {
-        "final": [[v.real, v.imag] for v in traj[-1]],
+        "final": [[v.real, v.imag] for v in final],
         "residual": float(np.max(np.abs(resid))),
         "t_end": args.t_end,
     }
@@ -415,10 +425,8 @@ def _oracle_langevin(args, cfg: RunConfig, out: Path) -> list[Path]:
     burn = oracle.LANGEVIN_BURN_IN
     _require(args.n_samples >= oracle.MIN_LANGEVIN_SAMPLES,
              f"--n-samples must be at least {oracle.MIN_LANGEVIN_SAMPLES}")
-    _require(0 < args.dt < math.inf
-             and burn + args.dt <= args.t_end < math.inf,
-             f"--dt must be > 0 and --t-end at least {burn:g} + --dt, "
-             "both finite")
+    _require(args.dt > 0 and burn + args.dt <= args.t_end,
+             f"--dt must be > 0 and --t-end at least {burn:g} + --dt")
     sys_ = fluct.build_m(phases.operating_state(drive, intrinsic).state,
                          drive.dtl, intrinsic_fraction=intrinsic)
     cov, se = oracle.langevin_covariance(
@@ -588,8 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     integrate = argparse.ArgumentParser(add_help=False)
     integrate.add_argument("--t-end", type=float, default=200.0,
                            help="integration time in units of 1/Γ")
-    integrate.add_argument("--dt", type=float, default=0.01,
-                           help="time step in units of 1/Γ")
 
     def leaf(group, name: str, handler, *parents, **kw):
         p = group.add_parser(name, parents=[io, *parents], **kw)
@@ -641,10 +647,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ops = sub.add_parser("oracle", help="verification engines (debugging)"
                          ).add_subparsers(dest="oracle_op", required=True)
-    p = leaf(ops, "mean-field", _oracle_mean_field, point, integrate)
-    p.add_argument("--alpha0", type=float, default=0.01)
+    p = leaf(ops, "mean-field", _oracle_mean_field, point, integrate,
+             help="adaptive Dormand-Prince endpoint at --t-end")
+    p.add_argument("--alpha0", type=float, default=0.01,
+                   help="initial amplitude of all three modes")
     leaf(ops, "jacobian", _oracle_jacobian, point)
     p = leaf(ops, "langevin", _oracle_langevin, point, integrate)
+    p.add_argument("--dt", type=float, default=0.01,
+                   help="time step in units of 1/Γ")
     p.add_argument("--n-samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=12345)
     p = leaf(ops, "duan-grid", _oracle_duan_grid, sigma)
@@ -672,6 +682,7 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     args.cell_errors = []
     try:
+        _require_finite(args)
         written = args.handler(args, cfg, out)
         # workers is accepted but unread, so it stays out of the manifest
         params = {k: v for k, v in vars(args).items()

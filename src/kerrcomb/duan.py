@@ -197,9 +197,11 @@ def pump_only_witness(ap2: float, dtl: float, omega: float,
     With x = ap2, δ = 2x − Δ̃_L, q = 1 + δ² − x² − ω², z = 2δ + i(2 − q)
     and η = intrinsic_fraction: C_min = −4(1 − η)x/(2x + |z|) at
     θ₊ = θ₋ = ((arg z + π)/2) mod π (docs/derivation.md). Like
-    ``noise_spectrum`` it raises SingularResolventError when
-    |det(iω − M)| = q² + 4ω² is below 1e-14.
+    ``noise_spectrum`` it raises ValueError on a non-finite ω and
+    SingularResolventError when |det(iω − M)| = q² + 4ω² is below 1e-14.
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, not {omega}")
     delta = 2.0 * ap2 - dtl
     q = 1.0 + delta * delta - ap2 * ap2 - omega * omega
     if q * q + 4.0 * omega * omega < 1e-14:

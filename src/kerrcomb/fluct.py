@@ -140,9 +140,12 @@ def noise_spectrum(sys: FluctuationSystem, omega: float) -> NoiseSpectrum:
     iω − M and −iω − M form one (2, 4, 4) stack, so one determinant and
     one inverse call give both resolvents, R(ω) and R(−ω). S(ω) pairs
     R(ω) with R(−ω) and S(−ω) pairs them the other way round, so the
-    same stack, reversed, gives both spectra. A singular resolvent raises
-    SingularResolventError, +ω checked before −ω.
+    same stack, reversed, gives both spectra. A non-finite ω raises
+    ValueError, and a singular resolvent SingularResolventError, +ω
+    checked before −ω.
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, not {omega}")
     signs = (omega, -omega)
     shifted = 1j * np.array(signs)[:, None, None] * _EYE4 - sys.m
     for w, det in zip(signs, np.linalg.det(shifted)):

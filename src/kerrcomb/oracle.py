@@ -2,13 +2,15 @@
 
 Everything here re-derives results by a different numerical route than
 the production modules and shares no numerical code with them beyond the
-domain types: the classical three-mode equations are integrated in time
-(fixed-step RK4 for trajectories, adaptive Dormand-Prince 5(4) for
-relaxation to an endpoint), the fluctuation generator is rebuilt by
-central finite differences of that vector field, stationary covariances
-are estimated by Euler-Maruyama sampling of the linear Langevin system,
-and the entanglement witness is minimized by exhaustive grid scan. All
-of it is deterministic given explicit seeds, step sizes and tolerances.
+domain types: the classical three-mode equations are written once, with
+conjugates as independent slots, and integrated in time by one adaptive
+Dormand-Prince 5(4) stepper, ``relax_batch``; the fluctuation generator
+is rebuilt by central finite differences of that vector field, whose
+conjugate equations are the field itself, conjugated, at swapped and
+conjugated slots; stationary covariances are estimated by
+Euler-Maruyama sampling of the linear Langevin system, and the
+entanglement witness is minimized by exhaustive grid scan. All of it is
+deterministic given explicit seeds, step sizes and tolerances.
 
 The Langevin sampler works in the symmetric-ordering (Wigner) picture:
 vacuum inputs become complex white noise of variance ½ per unit
@@ -32,7 +34,6 @@ __all__ = [
     "NonFiniteError",
     "UnstableError",
     "mean_field_rhs",
-    "integrate_mean_field",
     "relax_batch",
     "relax_to_steady",
     "fd_jacobian",
@@ -48,6 +49,10 @@ MIN_DUAN_GRID = 64
 RELAX_RTOL = RELAX_ATOL = 1e-12
 RELAX_FIRST_STEP = 1e-3
 RELAX_MIN_STEP = 1e-9
+# relax_to_steady extends its run in 25-unit chunks, at most this many
+# times, until every mode's time derivative is below the settle bound
+RELAX_SETTLE_TOL = 1e-10
+RELAX_MAX_EXTENSIONS = 20
 # normals drawn per block of Langevin chunks (0.5 MB of float64)
 NOISE_BLOCK_NORMALS = 1 << 16
 
@@ -89,7 +94,9 @@ def _rhs_detached(a_p, a_p_c, a_m, a_m_c, a_q, a_q_c, f_norm, dtp, dtl):
     """Three-mode vector field with conjugates as independent slots.
 
     Treating the conjugated amplitudes as separate inputs is what lets
-    the finite-difference Jacobian probe the doubled (a, a†) space.
+    the finite-difference Jacobian probe the doubled (a, a†) space: the
+    conjugate equations are ``np.conj`` of this field evaluated with
+    each (a, a†) slot pair swapped and conjugated.
     """
     d_p = (-(1.0 + 1j * dtp) * a_p
            + 1j * (a_p_c * a_p + 2.0 * a_m_c * a_m + 2.0 * a_q_c * a_q) * a_p
@@ -103,58 +110,6 @@ def _rhs_detached(a_p, a_p_c, a_m, a_m_c, a_q, a_q_c, f_norm, dtp, dtl):
     return d_p, d_m, d_q
 
 
-def _rhs_detached_conj(a_p, a_p_c, a_m, a_m_c, a_q, a_q_c, dtl):
-    """Detached conjugate equations for the pair modes only."""
-    d_m_c = (-(1.0 - 1j * dtl) * a_m_c
-             - 1j * (2.0 * a_p_c * a_p + a_m_c * a_m
-                     + 2.0 * a_q_c * a_q) * a_m_c
-             - 1j * a_p_c * a_p_c * a_q)
-    d_q_c = (-(1.0 - 1j * dtl) * a_q_c
-             - 1j * (2.0 * a_p_c * a_p + 2.0 * a_m_c * a_m
-                     + a_q_c * a_q) * a_q_c
-             - 1j * a_p_c * a_p_c * a_m)
-    return d_m_c, d_q_c
-
-
-def mean_field_rhs(amps: np.ndarray, drive: NormalizedDrive) -> np.ndarray:
-    """d(α_p, α₋, α₊)/dτ of the noise-free three-mode system."""
-    a_p, a_m, a_q = amps
-    d_p, d_m, d_q = _rhs_detached(a_p, np.conj(a_p), a_m, np.conj(a_m),
-                                  a_q, np.conj(a_q),
-                                  drive.f_norm, drive.dtp, drive.dtl)
-    return np.array([d_p, d_m, d_q])
-
-
-def integrate_mean_field(init: MeanFieldState, drive: NormalizedDrive,
-                         t_end: float, dt: float, sample_every: int = 1,
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 trajectory of the classical system.
-
-    Returns (times, amplitudes[n, 3]). Raises NonFiniteError on blow-up,
-    reporting the time reached.
-    """
-    _require_time("t_end", t_end)
-    _require_time("dt", dt)
-    n_steps = int(round(t_end / dt))
-    amps = init.as_array()
-    times = [0.0]
-    traj = [amps.copy()]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            k1 = mean_field_rhs(amps, drive)
-            k2 = mean_field_rhs(amps + 0.5 * dt * k1, drive)
-            k3 = mean_field_rhs(amps + 0.5 * dt * k2, drive)
-            k4 = mean_field_rhs(amps + dt * k3, drive)
-            amps = amps + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(amps.view(float))):
-                raise NonFiniteError(
-                    f"trajectory diverged at t = {step * dt:g}")
-            if step % sample_every == 0 or step == n_steps:
-                times.append(step * dt)
-                traj.append(amps.copy())
-    return np.array(times), np.array(traj)
-
-
 def mean_field_rhs_batch(amps: np.ndarray, f_norm: np.ndarray,
                          dtp: np.ndarray, dtl: np.ndarray) -> np.ndarray:
     """Vector field for a batch of systems; amps has shape (3, n)."""
@@ -164,26 +119,9 @@ def mean_field_rhs_batch(amps: np.ndarray, f_norm: np.ndarray,
     return np.stack([d_p, d_m, d_q])
 
 
-def integrate_mean_field_batch(init: np.ndarray, f_norm: np.ndarray,
-                               dtp: np.ndarray, dtl: np.ndarray,
-                               t_end: float, dt: float) -> np.ndarray:
-    """RK4 endpoint for a batch of independent drives (no sampling).
-
-    init has shape (3, n); the drive arrays broadcast against it. Used
-    by relaxation checks that push hundreds of perturbed states at once.
-    """
-    _require_time("t_end", t_end)
-    _require_time("dt", dt)
-    amps = np.array(init, dtype=complex)
-    for _ in range(int(round(t_end / dt))):
-        k1 = mean_field_rhs_batch(amps, f_norm, dtp, dtl)
-        k2 = mean_field_rhs_batch(amps + 0.5 * dt * k1, f_norm, dtp, dtl)
-        k3 = mean_field_rhs_batch(amps + 0.5 * dt * k2, f_norm, dtp, dtl)
-        k4 = mean_field_rhs_batch(amps + dt * k3, f_norm, dtp, dtl)
-        amps = amps + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(amps.view(float))):
-        raise NonFiniteError("batch integration diverged")
-    return amps
+def mean_field_rhs(amps: np.ndarray, drive: NormalizedDrive) -> np.ndarray:
+    """d(α_p, α₋, α₊)/dτ of the noise-free three-mode system."""
+    return mean_field_rhs_batch(amps, drive.f_norm, drive.dtp, drive.dtl)
 
 
 # Dormand-Prince 5(4): stage rows a_2..a_6, fifth-order weights (also
@@ -260,8 +198,7 @@ def relax_batch(init: np.ndarray, f_norm, dtp, dtl,
 
 
 def relax_to_steady(init: MeanFieldState, drive: NormalizedDrive,
-                    t_end: float = 200.0, settle_tol: float = 1e-10,
-                    max_extensions: int = 20) -> np.ndarray:
+                    t_end: float = 200.0) -> np.ndarray:
     """Integrate until the vector field is numerically quiet.
 
     Finds attractors independently of the algebraic solver, extending
@@ -270,8 +207,8 @@ def relax_to_steady(init: MeanFieldState, drive: NormalizedDrive,
     """
     args = (drive.f_norm, drive.dtp, drive.dtl)
     amps = relax_batch(init.as_array()[:, None], *args, t_end)[:, 0]
-    for _ in range(max_extensions):
-        if np.max(np.abs(mean_field_rhs(amps, drive))) < settle_tol:
+    for _ in range(RELAX_MAX_EXTENSIONS):
+        if np.max(np.abs(mean_field_rhs(amps, drive))) < RELAX_SETTLE_TOL:
             break
         amps = relax_batch(amps[:, None], *args, 25.0)[:, 0]
     return amps
@@ -293,6 +230,7 @@ def fd_jacobian(state: SteadyState, drive: NormalizedDrive,
     a_p = complex(math.sqrt(state.ap2))
     alpha = math.sqrt(state.a2) * np.exp(1j * theta_pair)
     rot = np.exp(1j * theta_pair)
+    args = (drive.f_norm, drive.dtp, drive.dtl)
 
     def field(delta: np.ndarray) -> np.ndarray:
         a_m = alpha + delta[0] * rot
@@ -300,10 +238,10 @@ def fd_jacobian(state: SteadyState, drive: NormalizedDrive,
         a_q = alpha + delta[2] * rot
         a_q_c = np.conj(alpha) + delta[3] * np.conj(rot)
         _, d_m, d_q = _rhs_detached(a_p, np.conj(a_p), a_m, a_m_c,
-                                    a_q, a_q_c, drive.f_norm, drive.dtp,
-                                    drive.dtl)
-        d_m_c, d_q_c = _rhs_detached_conj(a_p, np.conj(a_p), a_m, a_m_c,
-                                          a_q, a_q_c, drive.dtl)
+                                    a_q, a_q_c, *args)
+        _, d_m_c, d_q_c = np.conj(_rhs_detached(
+            a_p, np.conj(a_p), np.conj(a_m_c), np.conj(a_m),
+            np.conj(a_q_c), np.conj(a_q), *args))
         return np.array([d_m / rot, d_m_c / np.conj(rot),
                          d_q / rot, d_q_c / np.conj(rot)])
 

@@ -141,12 +141,26 @@ class TestCli:
           "--dtl", "1.6", "--t-end", "10"], "--t-end at least 50"),
         (["oracle", "duan-grid", "--sigma-json", "sigma.json",
           "--grid-n", "10"], "--grid-n must be >= 64"),
-        (["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
-          "--dtl", "1.6", "--dt", "0"], "--dt and --t-end must be > 0"),
         (["oracle", "langevin", "--f-norm", "1.2", "--dtp", "1.6",
-          "--dtl", "1.6", "--t-end", "inf"], "both finite"),
+          "--dtl", "1.6", "--dt", "0"], "--dt must be > 0"),
+        (["oracle", "langevin", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6", "--t-end", "inf"], "--t-end must be finite"),
         (["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
-          "--dtl", "1.6", "--t-end", "inf"], "> 0 and finite"),
+          "--dtl", "1.6", "--t-end", "inf"], "--t-end must be finite"),
+        (["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6", "--t-end", "0"], "--t-end must be > 0"),
+        (["duan", "--f-norm", "1", "--dtp", "1", "--dtl", "1", "--omega",
+          "nan"], "--omega must be finite"),
+        (["phase-diagram", "--family", "TE00", "--grid", "4", "--omega",
+          "nan"], "--omega must be finite"),
+        (["reproduce", "fig7", "--grid", "8", "--omega", "inf"],
+         "--omega must be finite"),
+        (["steady", "--f-norm", "nan", "--dtp", "1", "--dtl", "1"],
+         "--f-norm must be finite"),
+        (["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6", "--alpha0", "inf"], "--alpha0 must be finite"),
+        (["transmission", "--center-thz", "nan"],
+         "--center-thz must be finite"),
         (["phase-diagram", "--family", "TE00", "--grid", "2",
           "--workers", "0"], "--workers must be >= 1"),
         (["duan", "--sigma-json", "sigma.json", "--f-norm", "1.2", "--dtp",
@@ -168,6 +182,10 @@ class TestCli:
             "duan-f-norm-with-default-L", "zero-span", "negative-tolerance",
             "langevin-inside-burn-in", "duan-grid-coarse", "zero-dt",
             "langevin-infinite-t-end", "mean-field-infinite-t-end",
+            "mean-field-zero-t-end", "duan-nan-omega",
+            "phase-diagram-nan-omega", "fig7-infinite-omega",
+            "steady-nan-f-norm", "mean-field-infinite-alpha0",
+            "transmission-nan-center-thz",
             "zero-workers", "sigma-json-with-drive", "sigma-json-with-family",
             "sigma-json-with-L", "sigma-json-with-default-L",
             "sigma-json-with-default-omega"])
@@ -201,6 +219,15 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_mean_field_takes_no_dt(self, tmp_path, capsys):
+        # the adaptive integrator chooses its own steps; on this leaf
+        # --dt is only an ambiguous prefix of --dtp and --dtl
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
+                  "--dtl", "1.6", "--dt", "0.01", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "ambiguous option: --dt" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, keys", [
         (["reproduce", "fig4", "--grid", "4"],
          {"command", "figure", "omega", "grid"}),
@@ -209,7 +236,11 @@ class TestCli:
         (["steady", "--f-norm", "1.2", "--dtp", "1.6", "--dtl", "1.6"],
          {"command", "f_norm", "dtp", "dtl"}),
         (["duan", "--sigma-json", "SIGMA"], {"command", "sigma_json"}),
-    ], ids=["fig4", "oracle-jacobian", "steady-raw", "duan-sigma"])
+        (["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
+          "--dtl", "1.6", "--t-end", "5"],
+         {"command", "oracle_op", "f_norm", "dtp", "dtl", "t_end", "alpha0"}),
+    ], ids=["fig4", "oracle-jacobian", "steady-raw", "duan-sigma",
+            "oracle-mean-field"])
     def test_manifest_parameters_are_flags_read(self, tmp_path, argv, keys):
         # a raw drive reads no --L, and a --sigma-json run no --L/--omega
         sigma = tmp_path / "sigma.json"
@@ -247,7 +278,39 @@ class TestCli:
         slots = sum(1 for _, p in parsers for a in p._actions
                     if a.option_strings
                     and not isinstance(a, argparse._HelpAction))
-        assert slots == 150
+        assert slots == 149
+
+    def test_every_float_flag_is_checked_finite(self, tmp_path, capsys):
+        # a non-finite value on any float flag of any leaf is a usage
+        # error before its handler runs, so a new flag cannot skip it
+        required = {"--family": "TE00"}
+
+        def leaves(parser, path=()):
+            subs = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield path, parser
+            for action in subs:
+                for name, child in action.choices.items():
+                    yield from leaves(child, (*path, name))
+
+        checked = 0
+        for path, leaf in leaves(build_parser()):
+            needed = [x for a in leaf._actions if a.required
+                      for x in (a.option_strings[0],
+                                required[a.option_strings[0]])]
+            for action in leaf._actions:
+                if action.type is not float:
+                    continue
+                flag = action.option_strings[0]
+                out = tmp_path / "o"
+                code = main([*path, *needed, flag, "nan", "--out", str(out)])
+                err = capsys.readouterr().err
+                assert code == 2, (path, flag)
+                assert f"usage error: {flag} must be finite" in err
+                assert not out.exists()
+                checked += 1
+        assert checked == 71
 
     @pytest.mark.parametrize("section, key, value, problem", [
         ("sweep_defaults", "grid", 0, "grid must be an integer >= 1"),

@@ -386,6 +386,11 @@ class TestExactDuan:
         with pytest.raises(SingularResolventError):
             pump_only_witness(x, 2.0 * x, 0.0, 0.45)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            pump_only_witness(0.8, 1.55, omega, 0.45)
+
     def test_returns_python_floats(self):
         res = pump_only_witness(np.float64(0.8), np.float64(1.55), 0.0, 0.45)
         assert type(res.c_min) is float and type(res.theta_plus) is float

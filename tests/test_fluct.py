@@ -163,6 +163,12 @@ class TestNoiseSpectrum:
                 assert np.array_equal(minus.s, plus.s_minus)
                 assert np.array_equal(minus.s_minus, plus.s)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_rejected(self, omega):
+        sys_ = build_m(pump_only_branches(1.2, 1.6)[0], 1.55)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            noise_spectrum(sys_, omega)
+
     def test_singular_resolvent_at_marginal_state(self):
         # place the pump exactly on the parametric gain boundary
         dtl = 2.2

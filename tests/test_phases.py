@@ -130,6 +130,12 @@ class TestSweep:
         counts = {p: grid.count(p) for p in Phase}
         assert all(counts[p] > 0 for p in Phase)
 
+    def test_non_finite_omega_stops_the_sweep(self, te00):
+        # a NaN witness would read as NE; the sweep raises instead
+        with pytest.raises(ValueError, match="omega must be finite"):
+            sweep(te00, 1, np.array([0.3e9]), np.array([9e6]),
+                  omega=math.nan)
+
     def test_axis_validation(self, te00):
         with pytest.raises(ValueError):
             sweep(te00, 1, np.array([2.0, 1.0]), np.array([1.0]))

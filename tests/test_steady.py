@@ -53,11 +53,9 @@ def _fd_full_jacobian(state, f, dtp, dtl, h=1e-6):
         a_q_c = np.conj(base[2]) + d[5]
         d_p, d_m, d_q = oracle._rhs_detached(a_p, a_p_c, a_m, a_m_c,
                                              a_q, a_q_c, f, dtp, dtl)
-        d_m_c, d_q_c = oracle._rhs_detached_conj(a_p, a_p_c, a_m, a_m_c,
-                                                 a_q, a_q_c, dtl)
-        d_p_c = np.conj(oracle._rhs_detached(
+        d_p_c, d_m_c, d_q_c = np.conj(oracle._rhs_detached(
             np.conj(a_p_c), np.conj(a_p), np.conj(a_m_c), np.conj(a_m),
-            np.conj(a_q_c), np.conj(a_q), f, dtp, dtl)[0])
+            np.conj(a_q_c), np.conj(a_q), f, dtp, dtl))
         return np.array([d_p, d_p_c, d_m, d_m_c, d_q, d_q_c])
 
     jac = np.zeros((6, 6), dtype=complex)
