@@ -4,7 +4,9 @@ Every cell of the (detuning, amplitude) plane is classified: NE where
 the witness sits at zero, ET where entanglement is present and tunable,
 MI where multiple branches or growing fluctuations disqualify the
 below-threshold analysis. The text rendering below mirrors what the
-CLI's SVG heat map shows.
+CLI's SVG heat map shows. The pump-only part of the grid (F, Δ̃_p and
+the pump-only roots) does not depend on the pair index L, so it is
+solved once and every L is classified against it.
 
 Run:  python demos/04_phase_diagram.py
 """
@@ -12,7 +14,7 @@ Run:  python demos/04_phase_diagram.py
 import numpy as np
 
 from kerrcomb.config import load_config
-from kerrcomb.phases import Phase, sweep
+from kerrcomb.phases import Phase, pump_grid, sweep
 
 cfg = load_config()
 te00 = cfg.resonator.family("TE00")
@@ -20,7 +22,8 @@ te00 = cfg.resonator.family("TE00")
 deltas = np.linspace(-0.1e9, 0.8e9, 36)   # Hz
 amps = np.linspace(2e5, 2.8e7, 48)        # V/m
 
-grid = sweep(te00, L=1, delta_axis=deltas, amplitude_axis=amps)
+pump = pump_grid(te00, delta_axis=deltas, amplitude_axis=amps)
+grid = sweep(pump, L=1)
 
 glyph = {"NE": ".", "ET": "e", "MI": "#"}
 print("TE00, L = 1.  rows: detuning (bottom -0.1 GHz, top 0.8 GHz); "
@@ -30,6 +33,8 @@ for row in reversed(grid.phase_array()):
 
 counts = {p.value: grid.count(p) for p in Phase}
 print(f"\ncounts: {counts}")
+far = sweep(pump, L=40)  # same pump grid, pair detuning D_int(40)/Γ further
+print(f"counts at L = 40: {({p.value: far.count(p) for p in Phase})}")
 
 cm = grid.c_min_array()
 i, j = np.unravel_index(np.nanargmin(cm), cm.shape)

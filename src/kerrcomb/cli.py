@@ -309,9 +309,9 @@ def _note_cell_errors(args, grids) -> None:
                             for p in row if p.error)
 
 
-def _sweep(args, cfg: RunConfig, fam, L: int, delta_axis: np.ndarray,
-           amp_axis: np.ndarray) -> phases.SweepGrid:
-    grid = phases.sweep(fam, L, delta_axis, amp_axis, omega=args.omega,
+def _sweep(args, cfg: RunConfig, pump: phases.PumpGrid,
+           L: int) -> phases.SweepGrid:
+    grid = phases.sweep(pump, L, omega=args.omega,
                         epsilon_ne=cfg.tolerances.epsilon_ne,
                         truncation_order=cfg.tolerances.truncation_order)
     _note_cell_errors(args, [grid])
@@ -354,7 +354,8 @@ def _grid_svg(grid: phases.SweepGrid, cfg: RunConfig) -> str:
 def _cmd_phase_diagram(args, cfg: RunConfig, out: Path) -> list[Path]:
     fam = _family(cfg, args.family)
     _require(args.L >= 1, "--L must be >= 1")
-    grid = _sweep(args, cfg, fam, args.L, *_axes_from_args(args, cfg))
+    pump = phases.pump_grid(fam, *_axes_from_args(args, cfg))
+    grid = _sweep(args, cfg, pump, args.L)
     name = f"phase_{fam.label}_L{args.L}"
     meta = {"family": fam.label, "L": args.L, "omega": args.omega,
             "epsilon_ne": cfg.tolerances.epsilon_ne,
@@ -481,12 +482,12 @@ def _reproduce_fig3(args, cfg: RunConfig, out: Path) -> list[Path]:
 
 def _reproduce_phase_grids(args, cfg: RunConfig, out: Path,
                            ls: list[int]) -> list[Path]:
-    fam = cfg.resonator.family("TE00")
-    delta_axis, amp_axis = _axes_from_args(args, cfg)
+    pump = phases.pump_grid(cfg.resonator.family("TE00"),
+                            *_axes_from_args(args, cfg))
     written = []
     counts = {}
     for l_idx in ls:
-        grid = _sweep(args, cfg, fam, l_idx, delta_axis, amp_axis)
+        grid = _sweep(args, cfg, pump, l_idx)
         name = f"{args.figure}_TE00_L{l_idx}"
         written.append(_write_phase_csv(out, name, grid))
         written.append(write_output(out, f"{name}.svg", _grid_svg(grid, cfg)))
@@ -504,9 +505,10 @@ def _reproduce_fig6(args, cfg: RunConfig, out: Path) -> list[Path]:
     written = []
     for label in labels:
         fam = cfg.resonator.family(label)
-        coarse = _sweep(args, cfg, fam, 1,
-                        delta_axis[:: max(1, len(delta_axis) // 24)],
-                        amp_axis[:: max(1, len(amp_axis) // 24)])
+        pump = phases.pump_grid(fam,
+                                delta_axis[:: max(1, len(delta_axis) // 24)],
+                                amp_axis[:: max(1, len(amp_axis) // 24)])
+        coarse = _sweep(args, cfg, pump, 1)
         cm = coarse.c_min_array()
         i, j = np.unravel_index(int(np.nanargmin(cm)), cm.shape)
         a_pin = float(coarse.amplitude_axis[j])
@@ -598,7 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="integration time in units of 1/Γ")
 
     def leaf(group, name: str, handler, *parents, **kw):
-        p = group.add_parser(name, parents=[io, *parents], **kw)
+        # no prefix matching: a flag is taken only as spelled in full
+        p = group.add_parser(name, parents=[io, *parents],
+                             allow_abbrev=False, **kw)
         p.set_defaults(handler=handler)
         return p
 

@@ -48,7 +48,8 @@ __all__ = [
     "nonlinear_rate",
     "input_power",
     "normalize",
-    "normalize_row",
+    "pump_row",
+    "pair_offset",
 ]
 
 HBAR = 1.054571817e-34      # J s
@@ -261,31 +262,43 @@ def input_power(family: ModalFamily, a_pin: float) -> float:
 
 def normalize(op_point: OperatingPoint,
               truncation_order: int = 3) -> NormalizedDrive:
-    """The dimensionless drive of one operating point (``normalize_row``)."""
-    return normalize_row(op_point.family, op_point.L, op_point.delta_p0,
-                         (op_point.a_pin,), truncation_order)[0]
+    """The dimensionless drive of one operating point.
+
+    F and Δ̃_p come from ``pump_row``, Δ̃_L = Δ̃_p + ``pair_offset``.
+    """
+    (f_norm,), dtp = pump_row(op_point.family, op_point.delta_p0,
+                              (op_point.a_pin,))
+    return NormalizedDrive(
+        f_norm=f_norm, dtp=dtp,
+        dtl=dtp + pair_offset(op_point.family, op_point.L, truncation_order))
 
 
-def normalize_row(family: ModalFamily, L: int, delta_p0: float, a_pins,
-                  truncation_order: int = 3) -> list[NormalizedDrive]:
-    """The dimensionless drives of one detuning row, one per amplitude.
+def pump_row(family: ModalFamily, delta_p0: float,
+             a_pins) -> tuple[list[float], float]:
+    """F for each amplitude of one detuning row, and the row's Δ̃_p.
 
     F follows the √(2γη P_in / ħΩ₀Γ³) normalization with Ω₀ the laser
-    angular frequency; detunings are divided by Γ. The pair detuning
-    satisfies dtl = dtp + D_int(L)/Γ by construction (see
-    NormalizedDrive). All but P_in is computed once per row, in the
-    order ((2γη)·P_in)/(ħΩ₀Γ³). ``OperatingPoint``'s checks apply.
+    angular frequency; the detuning is divided by Γ. Neither depends on
+    the pair index L. All but P_in is computed once per row, in the
+    order ((2γη)·P_in)/(ħΩ₀Γ³). ``OperatingPoint``'s a_pin check applies.
     """
-    from .dispersion import integrated_dispersion
-
-    _require(L >= 1, "mode-pair index L must be >= 1")
     _require(all(a_pin >= 0 for a_pin in a_pins), "a_pin must be nonnegative")
     rates = damping_rates(family)
     total, coupling = rates["Gamma"], rates["gamma"]
     num = 2.0 * coupling * family.eta
     den = HBAR * (family.omega0 - 2.0 * math.pi * delta_p0) * total ** 3
-    dtp = 2.0 * math.pi * delta_p0 / total
-    dtl = dtp + integrated_dispersion(family, L, truncation_order) / total
-    return [NormalizedDrive(f_norm=math.sqrt(num * input_power(family, a_pin)
-                                             / den), dtp=dtp, dtl=dtl)
-            for a_pin in a_pins]
+    return ([math.sqrt(num * input_power(family, a_pin) / den)
+             for a_pin in a_pins], 2.0 * math.pi * delta_p0 / total)
+
+
+def pair_offset(family: ModalFamily, L: int,
+                truncation_order: int = 3) -> float:
+    """D_int(L)/Γ, so that Δ̃_L = Δ̃_p + pair_offset (see NormalizedDrive).
+
+    The only part of the drive that depends on L.
+    """
+    from .dispersion import integrated_dispersion
+
+    _require(L >= 1, "mode-pair index L must be >= 1")
+    return (integrated_dispersion(family, L, truncation_order)
+            / damping_rates(family)["Gamma"])

@@ -13,6 +13,8 @@ what the steady-state and fluctuation analysis finds there:
 
 Classification is a pure function of the normalized drive, and tests
 MI cheapest first: the parametric search runs only where MI is open.
+A family's pump-only roots depend on (F, Δ̃_p) alone, not on L, so a
+``PumpGrid`` solves them once and every per-L ``sweep`` reuses them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .duan import DuanResult, pump_only_witness
 from .fluct import DEFAULT_INTRINSIC_FRACTION
-from .model import ModalFamily, NormalizedDrive, normalize_row
+from .model import ModalFamily, NormalizedDrive, pair_offset, pump_row
 from .steady import (NoConvergenceError, SteadyState, parametric_branch,
                      pump_only_branches)
 
@@ -33,6 +35,7 @@ __all__ = [
     "Phase",
     "OperatingState",
     "PhasePoint",
+    "PumpGrid",
     "SweepGrid",
     "JointPumpResult",
     "NoFeasiblePointError",
@@ -40,6 +43,7 @@ __all__ = [
     "pump_only_max_eig_re",
     "classify_state",
     "classify_drive",
+    "pump_grid",
     "sweep",
     "best_joint_pump",
     "EPSILON_NE",
@@ -78,6 +82,50 @@ class PhasePoint:
     error: str = ""
 
 
+def _check_axis(name: str, axis) -> None:
+    if not np.all(np.isfinite(axis)):
+        raise ValueError(f"{name} must be finite")
+    if len(axis) == 0 or np.any(np.diff(axis) <= 0):
+        raise ValueError(f"{name} must be non-empty, strictly increasing")
+
+
+@dataclass(frozen=True)
+class PumpGrid:
+    """The L-free part of one family's grid, shared by its per-L sweeps.
+
+    F and Δ̃_p depend on the family, the detuning and the amplitude but
+    not on L, and so do the pump-only roots (docs/derivation.md). Rows
+    follow the delta axis: ``f_norm[i][j]`` and ``roots[i][j]`` belong to
+    (delta[i], amp[j]), ``dtp[i]`` to the whole row.
+    """
+
+    family: ModalFamily
+    delta_axis: np.ndarray      # Hz, strictly increasing
+    amplitude_axis: np.ndarray  # V/m, strictly increasing
+    f_norm: tuple               # rows of F
+    dtp: tuple                  # one Δ̃_p per row
+    roots: tuple                # rows of pump_only_branches results
+
+
+def pump_grid(family: ModalFamily, delta_axis, amplitude_axis) -> PumpGrid:
+    """Normalize each detuning row and solve every cell's pump-only
+    roots, once for all L; a non-finite or unordered axis is refused."""
+    delta_axis = np.asarray(delta_axis, dtype=float)
+    amplitude_axis = np.asarray(amplitude_axis, dtype=float)
+    _check_axis("delta_axis", delta_axis)
+    _check_axis("amplitude_axis", amplitude_axis)
+    f_rows, dtps, root_rows = [], [], []
+    for delta in delta_axis:
+        f_norms, dtp = pump_row(family, float(delta), amplitude_axis)
+        f_rows.append(tuple(f_norms))
+        dtps.append(dtp)
+        root_rows.append(tuple(tuple(pump_only_branches(f, dtp))
+                               for f in f_norms))
+    return PumpGrid(family=family, delta_axis=delta_axis,
+                    amplitude_axis=amplitude_axis, f_norm=tuple(f_rows),
+                    dtp=tuple(dtps), roots=tuple(root_rows))
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Classified grid over (delta axis, amplitude axis) for one pair L."""
@@ -89,9 +137,8 @@ class SweepGrid:
     points: tuple               # row-major: points[i][j] ~ (delta[i], amp[j])
 
     def __post_init__(self) -> None:
-        for axis in (self.delta_axis, self.amplitude_axis):
-            if len(axis) == 0 or np.any(np.diff(axis) <= 0):
-                raise ValueError("axes must be non-empty, strictly increasing")
+        _check_axis("delta_axis", self.delta_axis)
+        _check_axis("amplitude_axis", self.amplitude_axis)
         if len(self.points) != len(self.delta_axis) or any(
                 len(row) != len(self.amplitude_axis) for row in self.points):
             raise ValueError("points shape must match the axes")
@@ -150,10 +197,14 @@ def pump_only_max_eig_re(ap2: float, dtl: float) -> float:
 
 def operating_state(drive: NormalizedDrive,
                     intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
+                    roots: tuple[SteadyState, ...] | None = None,
                     ) -> OperatingState:
     """Pump-only roots, the lowest one's stability and, where those leave
-    MI open, the parametric states."""
-    roots = pump_only_branches(drive.f_norm, drive.dtp)
+    MI open, the parametric states. ``roots`` are the drive's pump-only
+    roots when already solved (a ``PumpGrid`` cell); else they are
+    solved here."""
+    if roots is None:
+        roots = pump_only_branches(drive.f_norm, drive.dtp)
     eig = pump_only_max_eig_re(roots[0].ap2, drive.dtl)
     par = () if len(roots) > 1 or eig >= 0.0 else tuple(
         parametric_branch(drive.f_norm, drive.dtp, drive.dtl))
@@ -174,15 +225,18 @@ def classify_state(op: OperatingState, omega: float = 0.0,
 def classify_drive(drive: NormalizedDrive, omega: float = 0.0,
                    epsilon_ne: float = EPSILON_NE,
                    intrinsic_fraction: float = DEFAULT_INTRINSIC_FRACTION,
+                   roots: tuple[SteadyState, ...] | None = None,
                    ) -> PhasePoint:
-    """Classify a normalized drive point (the sweep work-horse).
+    """Classify a normalized drive point (the sweep work-horse); ``roots``
+    as in ``operating_state``.
 
     A solver failure (``NoConvergenceError``, or a ``LinAlgError`` such
     as ``SingularResolventError``) marks the cell MI with its error text
     so the grid completes; any other exception is a bug and propagates.
     """
     try:
-        return classify_state(operating_state(drive, intrinsic_fraction),
+        return classify_state(operating_state(drive, intrinsic_fraction,
+                                              roots),
                               omega=omega, epsilon_ne=epsilon_ne)
     except (NoConvergenceError, np.linalg.LinAlgError) as exc:
         return PhasePoint(phase=Phase.MI, c_min=math.nan, n_branches=0,
@@ -190,25 +244,28 @@ def classify_drive(drive: NormalizedDrive, omega: float = 0.0,
                           error=f"{type(exc).__name__}: {exc}")
 
 
-def sweep(family: ModalFamily, L: int,
-          delta_axis: np.ndarray, amplitude_axis: np.ndarray,
-          omega: float = 0.0, epsilon_ne: float = EPSILON_NE,
+def sweep(pump: PumpGrid, L: int, omega: float = 0.0,
+          epsilon_ne: float = EPSILON_NE,
           truncation_order: int = 3) -> SweepGrid:
-    """Classify every cell of the (detuning, amplitude) grid for one L.
+    """Classify every cell of a family's pump grid for one L.
 
-    Each detuning row is normalized once (``normalize_row``) and its
-    cells are classified in turn, in the calling process.
+    Only Δ̃_L = Δ̃_p + D_int(L)/Γ is new per L; each cell goes through
+    ``classify_drive`` with its shared pump-only roots, in the calling
+    process.
     """
-    delta_axis = np.asarray(delta_axis, dtype=float)
-    amplitude_axis = np.asarray(amplitude_axis, dtype=float)
-    points = tuple(
-        tuple(classify_drive(drive, omega=omega, epsilon_ne=epsilon_ne,
-                             intrinsic_fraction=family.intrinsic_fraction)
-              for drive in normalize_row(family, L, float(delta),
-                                         amplitude_axis, truncation_order))
-        for delta in delta_axis)
-    return SweepGrid(family=family.label, L=L, delta_axis=delta_axis,
-                     amplitude_axis=amplitude_axis, points=points)
+    family = pump.family
+    offset = pair_offset(family, L, truncation_order)
+    points = []
+    for f_row, dtp, root_row in zip(pump.f_norm, pump.dtp, pump.roots):
+        dtl = dtp + offset
+        points.append(tuple(
+            classify_drive(NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl),
+                           omega=omega, epsilon_ne=epsilon_ne,
+                           intrinsic_fraction=family.intrinsic_fraction,
+                           roots=roots)
+            for f, roots in zip(f_row, root_row)))
+    return SweepGrid(family=family.label, L=L, delta_axis=pump.delta_axis,
+                     amplitude_axis=pump.amplitude_axis, points=tuple(points))
 
 
 def _mi_exclusion_mask(grids: list[SweepGrid], margin: int) -> np.ndarray:
@@ -255,11 +312,13 @@ def best_joint_pump(families: list[ModalFamily], Ls: list[int],
     """
     if not families:
         raise ValueError("at least one family required")
-    sweeps = {fam.label: [sweep(fam, L, delta_axis, amplitude_axis,
-                                omega=omega, epsilon_ne=epsilon_ne,
-                                truncation_order=truncation_order)
-                          for L in Ls]
-              for fam in families}
+    sweeps = {}
+    for fam in families:
+        pump = pump_grid(fam, delta_axis, amplitude_axis)
+        sweeps[fam.label] = [sweep(pump, L, omega=omega,
+                                   epsilon_ne=epsilon_ne,
+                                   truncation_order=truncation_order)
+                             for L in Ls]
     # per family and detuning row: the amplitude whose worst witness over
     # L is lowest outside the MI margin, and that witness value
     rows = np.arange(len(delta_axis))

@@ -17,7 +17,7 @@ import pytest
 from kerrcomb import duan, fluct, oracle, steady
 from kerrcomb.config import load_config
 from kerrcomb.model import NormalizedDrive
-from kerrcomb.phases import Phase, best_joint_pump, sweep
+from kerrcomb.phases import Phase, best_joint_pump, pump_grid, sweep
 
 SQRT3 = math.sqrt(3.0)
 SEED = 20260808
@@ -290,7 +290,7 @@ def test_criterion_08_phase_diagram_structure():
     te00 = cfg.resonator.family("TE00")
     deltas = np.linspace(-0.1e9, 0.8e9, 64)
     amps = np.linspace(2e5, 2.8e7, 64)
-    grid = sweep(te00, 1, deltas, amps)
+    grid = sweep(pump_grid(te00, deltas, amps), 1)
     counts = {p: grid.count(p) for p in Phase}
     assert all(counts[p] > 0 for p in Phase)
     pa = grid.phase_array()
@@ -326,16 +326,13 @@ def test_criterion_09_ne_broadening():
     te00 = cfg.resonator.family("TE00")
     deltas = np.linspace(-0.1e9, 0.8e9, 64)
     amps = np.linspace(2e5, 2.8e7, 64)
-    counts = []
-    for L in range(1, 7):
-        grid = sweep(te00, L, deltas, amps)
-        counts.append(grid.count(Phase.NE))
+    pump = pump_grid(te00, deltas, amps)  # shared by every L
+    counts = [sweep(pump, L).count(Phase.NE) for L in range(1, 7)]
     assert all(b >= a for a, b in zip(counts, counts[1:])), counts
     # the NE count is flat (162) for L = 1…6 on these axes; the pair
     # detuning's drift only shows at larger L, where the region must grow
     # (178 NE cells at L = 20 and 233 at L = 40)
-    far = [sweep(te00, L, deltas, amps).count(Phase.NE)
-           for L in (20, 40)]
+    far = [sweep(pump, L).count(Phase.NE) for L in (20, 40)]
     assert all(n > 162 for n in far), far
     assert counts[-1] <= far[0] <= far[1], (counts, far)
     elapsed = time.perf_counter() - t0

@@ -221,12 +221,48 @@ class TestCli:
 
     def test_mean_field_takes_no_dt(self, tmp_path, capsys):
         # the adaptive integrator chooses its own steps; on this leaf
-        # --dt is only an ambiguous prefix of --dtp and --dtl
+        # --dt is no flag, only a prefix of --dtp and --dtl
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "mean-field", "--f-norm", "1.2", "--dtp", "1.6",
                   "--dtl", "1.6", "--dt", "0.01", "--out", str(tmp_path)])
         assert exc.value.code == 2
-        assert "ambiguous option: --dt" in capsys.readouterr().err
+        assert "unrecognized arguments: --dt 0.01" in capsys.readouterr().err
+
+    def test_no_leaf_takes_a_flag_prefix(self, capsys):
+        # argparse's allow_abbrev would read `duan ... --om 0.5` as
+        # --omega, and a removed flag that prefixes one remaining flag
+        # would silently set it
+        parser = build_parser()
+        required = {"--family": "TE00"}
+
+        def leaves(parser, path=()):
+            subs = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield path, parser
+            for action in subs:
+                for name, child in action.choices.items():
+                    yield from leaves(child, (*path, name))
+
+        checked = 0
+        for path, leaf in leaves(parser):
+            needed = [x for a in leaf._actions if a.required
+                      for x in (a.option_strings[0],
+                                required[a.option_strings[0]])]
+            flags = {s for a in leaf._actions for s in a.option_strings}
+            for flag in sorted(f for f in flags if f.startswith("--")):
+                for end in range(3, len(flag)):
+                    prefix = flag[:end]
+                    if prefix in flags:
+                        continue
+                    with pytest.raises(SystemExit) as exc:
+                        parser.parse_args([*path, *needed, prefix, "1"])
+                    assert exc.value.code == 2, (path, prefix)
+                    err = capsys.readouterr().err
+                    assert f"unrecognized arguments: {prefix} 1" in err, \
+                        (path, prefix)
+                    checked += 1
+        assert checked == 851  # every proper prefix on all 18 leaves
 
     @pytest.mark.parametrize("argv, keys", [
         (["reproduce", "fig4", "--grid", "4"],
@@ -552,6 +588,21 @@ class TestCli:
             if checked == 4:
                 break
         assert checked == 4
+
+    def test_fig5_solves_each_pump_cell_once(self, tmp_path, monkeypatch):
+        # six L share one pump grid: the pump-only roots are L-free
+        calls = []
+        real = phases.pump_only_branches
+
+        def counted(f_norm, dtp):
+            calls.append((f_norm, dtp))
+            return real(f_norm, dtp)
+
+        monkeypatch.setattr(phases, "pump_only_branches", counted)
+        assert main(["reproduce", "fig5", "--grid", "5",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 5 * 5
+        assert len(set(calls)) == len(calls)
 
     def test_fig6_sweeps_use_config_truncation_order(self, tmp_path,
                                                       monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from kerrcomb.phases import (
     SweepGrid,
     best_joint_pump,
     classify_drive,
+    pump_grid,
     pump_only_max_eig_re,
     sweep,
 )
@@ -115,7 +117,7 @@ class TestClassify:
 
 class TestSweep:
     def test_single_cell_equals_classify(self, te00):
-        grid = sweep(te00, 1, np.array([0.3e9]), np.array([9e6]))
+        grid = sweep(pump_grid(te00, np.array([0.3e9]), np.array([9e6])), 1)
         op = OperatingPoint(family=te00, L=1, delta_p0=0.3e9, a_pin=9e6)
         point = classify_drive(normalize(op),
                                intrinsic_fraction=te00.intrinsic_fraction)
@@ -126,19 +128,92 @@ class TestSweep:
     def test_all_three_phases_in_reference_region(self, te00):
         deltas = np.linspace(-0.1e9, 0.8e9, 16)
         amps = np.linspace(2e5, 2.8e7, 16)
-        grid = sweep(te00, 1, deltas, amps)
+        grid = sweep(pump_grid(te00, deltas, amps), 1)
         counts = {p: grid.count(p) for p in Phase}
         assert all(counts[p] > 0 for p in Phase)
 
     def test_non_finite_omega_stops_the_sweep(self, te00):
         # a NaN witness would read as NE; the sweep raises instead
         with pytest.raises(ValueError, match="omega must be finite"):
-            sweep(te00, 1, np.array([0.3e9]), np.array([9e6]),
+            sweep(pump_grid(te00, np.array([0.3e9]), np.array([9e6])), 1,
                   omega=math.nan)
 
     def test_axis_validation(self, te00):
-        with pytest.raises(ValueError):
-            sweep(te00, 1, np.array([2.0, 1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="delta_axis must be non-empty"):
+            pump_grid(te00, np.array([2.0, 1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="amplitude_axis must be non"):
+            pump_grid(te00, np.array([1.0]), np.array([]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_axis_is_refused_by_name(self, te00, bad):
+        # np.diff(axis) <= 0 is False for NaN, so an order test alone
+        # lets a NaN axis through to the cells
+        with pytest.raises(ValueError, match="^delta_axis must be finite$"):
+            pump_grid(te00, [0.1e9, bad], [9e6])
+        with pytest.raises(ValueError,
+                           match="^amplitude_axis must be finite$"):
+            pump_grid(te00, [0.1e9], [9e6, bad])
+        point = PhasePoint(phase=Phase.NE, c_min=0.0, n_branches=1,
+                           max_eig_re=-1.0)
+        for name, axes in (("delta_axis", ([0.0, bad], [1.0])),
+                           ("amplitude_axis", ([0.0], [1.0, bad]))):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                SweepGrid(family="TE00", L=1, delta_axis=np.array(axes[0]),
+                          amplitude_axis=np.array(axes[1]),
+                          points=((point,) * len(axes[1]),) * len(axes[0]))
+
+
+class TestSharedPumpGrid:
+    """One ``pump_grid`` per family serves every L, bit for bit."""
+
+    @pytest.mark.parametrize("label, Ls", [
+        ("TE00", (1, 6, 20, 40)), ("TE10", (6,)), ("TM10", (6,))])
+    def test_cells_equal_classify_drive(self, cfg, resonator, label, Ls):
+        axes = cfg.sweep_defaults
+        deltas = np.linspace(axes["delta_min_ghz"] * 1e9,
+                             axes["delta_max_ghz"] * 1e9, 16)
+        amps = np.linspace(axes["amp_min_v_per_m"], axes["amp_max_v_per_m"],
+                           16)
+        fam = resonator.family(label)
+        pump = pump_grid(fam, deltas, amps)
+        unstable = parametric = 0
+        for L in Ls:
+            grid = sweep(pump, L)
+            for i, delta in enumerate(deltas):
+                for j, amp in enumerate(amps):
+                    ref = classify_drive(
+                        normalize(OperatingPoint(family=fam, L=L,
+                                                 delta_p0=float(delta),
+                                                 a_pin=float(amp))),
+                        intrinsic_fraction=fam.intrinsic_fraction)
+                    cell = grid.points[i][j]
+                    for f in dataclasses.fields(PhasePoint):
+                        # repr: NaN equals NaN, and -0.0 differs from 0.0
+                        assert repr(getattr(cell, f.name)) \
+                            == repr(getattr(ref, f.name)), (L, i, j, f.name)
+                    unstable += (cell.n_branches == 1
+                                 and cell.max_eig_re >= 0.0)
+                    parametric += cell.has_parametric
+        if label == "TE00":  # L = 20 and 40 reach the unstable half
+            assert unstable > 0 and parametric > 0
+
+    def test_best_joint_pump_solves_each_cell_once(self, resonator,
+                                                    monkeypatch):
+        calls = []
+        real = phases.pump_only_branches
+
+        def counted(f_norm, dtp):
+            calls.append((f_norm, dtp))
+            return real(f_norm, dtp)
+
+        monkeypatch.setattr(phases, "pump_only_branches", counted)
+        families = [resonator.family(n) for n in ("TE00", "TE10", "TM10")]
+        deltas = np.linspace(-0.1e9, 0.8e9, 6)
+        amps = np.linspace(2e5, 2.8e7, 5)
+        _, sweeps = best_joint_pump(families, [1, 3, 6], deltas, amps,
+                                    margin=0)
+        assert len(calls) == len(families) * len(deltas) * len(amps)
+        assert all(len(grids) == 3 for grids in sweeps.values())
 
 
 def pump_only_state(x):
@@ -221,8 +296,9 @@ class TestPumpOnlyStability:
     def test_grid_equals_matrix_path(self, te00):
         deltas = np.linspace(-0.1e9, 0.8e9, 16)
         amps = np.linspace(2e5, 2.8e7, 16)
+        pump = pump_grid(te00, deltas, amps)
         for L in (1, 2, 3):
-            grid = sweep(te00, L, deltas, amps)
+            grid = sweep(pump, L)
             for i, delta in enumerate(deltas):
                 for j, amp in enumerate(amps):
                     drive = normalize(OperatingPoint(
@@ -247,8 +323,9 @@ class TestSweepEqualsPerCellPath:
         amps = np.linspace(axes["amp_min_v_per_m"], axes["amp_max_v_per_m"],
                            16)
         for fam in map(resonator.family, labels):
+            pump = pump_grid(fam, deltas, amps)
             for L in Ls:
-                grid = sweep(fam, L, deltas, amps)
+                grid = sweep(pump, L)
                 for i, delta in enumerate(deltas):
                     for j, amp in enumerate(amps):
                         drive = normalize(OperatingPoint(
@@ -349,8 +426,8 @@ class TestJointPumpDecision:
                                                   amps)
                      for f in families for L in (1, 2)}
             monkeypatch.setattr(phases, "sweep",
-                                lambda fam, L, *a, **k:
-                                grids[(fam.label, L)])
+                                lambda pump, L, *a, **k:
+                                grids[(pump.family.label, L)])
             by_family = {f.label: [grids[(f.label, L)] for L in (1, 2)]
                          for f in families}
             for margin in range(4):
