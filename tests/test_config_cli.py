@@ -20,6 +20,17 @@ from kerrcomb.config import (
 from kerrcomb.model import NormalizedDrive
 
 
+def parser_leaves(parser, path=()):
+    """(command path, parser) of every leaf below ``parser``."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from parser_leaves(child, (*path, name))
+
+
 class TestConfig:
     def test_default_loads_four_families(self, cfg):
         assert cfg.resonator.labels == ("TE00", "TM00", "TE10", "TM10")
@@ -235,17 +246,8 @@ class TestCli:
         parser = build_parser()
         required = {"--family": "TE00"}
 
-        def leaves(parser, path=()):
-            subs = [a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)]
-            if not subs:
-                yield path, parser
-            for action in subs:
-                for name, child in action.choices.items():
-                    yield from leaves(child, (*path, name))
-
         checked = 0
-        for path, leaf in leaves(parser):
+        for path, leaf in parser_leaves(parser):
             needed = [x for a in leaf._actions if a.required
                       for x in (a.option_strings[0],
                                 required[a.option_strings[0]])]
@@ -321,17 +323,8 @@ class TestCli:
         # error before its handler runs, so a new flag cannot skip it
         required = {"--family": "TE00"}
 
-        def leaves(parser, path=()):
-            subs = [a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)]
-            if not subs:
-                yield path, parser
-            for action in subs:
-                for name, child in action.choices.items():
-                    yield from leaves(child, (*path, name))
-
         checked = 0
-        for path, leaf in leaves(build_parser()):
+        for path, leaf in parser_leaves(build_parser()):
             needed = [x for a in leaf._actions if a.required
                       for x in (a.option_strings[0],
                                 required[a.option_strings[0]])]
