@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from kerrcomb import oracle
-from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import (
     bistability_turning_points,
     parametric_branch,
@@ -48,12 +47,11 @@ f, dtp = 1.6, 2.4
 state = [s for s in parametric_branch(f, dtp, dtp) if s.stable][0]
 theta_p = -state.psi
 pair = 0.5 * (state.phi + 2 * theta_p)
-init = oracle.MeanFieldState(
-    math.sqrt(state.ap2) * np.exp(1j * theta_p) * 1.001,
-    math.sqrt(state.a2) * np.exp(1j * pair) * 0.999,
-    math.sqrt(state.a2) * np.exp(1j * pair))
-drive = NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtp)
-final = oracle.relax_to_steady(init, drive, t_end=300.0)
+init = np.array([math.sqrt(state.ap2) * np.exp(1j * theta_p) * 1.001,
+                 math.sqrt(state.a2) * np.exp(1j * pair) * 0.999,
+                 math.sqrt(state.a2) * np.exp(1j * pair)])
+# relax_batch integrates a batch of drives, one column each
+final = oracle.relax_batch(init[:, None], f, dtp, dtp, 300.0)[:, 0]
 print(f"\nrelaxed pump power {abs(final[0])**2:.9f} "
       f"vs algebraic {state.ap2:.9f}")
 print(f"relaxed pair power {abs(final[1])**2:.9f} "

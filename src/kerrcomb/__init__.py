@@ -5,7 +5,7 @@ and integrated dispersion, steady states of the pumped pair system,
 linearized fluctuation spectra through input-output theory, two-mode
 entanglement witnesses, and phase-diagram sweeps over pump frequency
 and amplitude. ``kerrcomb.oracle`` holds independent verification
-engines (time-domain integrators, finite differences, exhaustive
+engines (a time-domain integrator, finite differences, exhaustive
 searches) used by the test suite and the CLI.
 """
 

@@ -69,10 +69,20 @@ class Tolerances:
     truncation_order: int = 3
 
     def __post_init__(self) -> None:
-        if self.epsilon_ne <= 0:
-            raise ValidationError("epsilon_ne must be positive")
-        if self.truncation_order not in (2, 3, 4, 5):
-            raise ValidationError("truncation_order must be one of 2..5")
+        eps, margin, order = (self.epsilon_ne, self.mi_margin_cells,
+                              self.truncation_order)
+        problems = []  # type(v) is int: JSON true and false load as bool
+        if not (_is_number(eps) and eps > 0):
+            problems.append(
+                f"epsilon_ne must be a finite positive number, got {eps!r}")
+        if not (type(margin) is int and margin >= 0):
+            problems.append(
+                f"mi_margin_cells must be an integer >= 0, got {margin!r}")
+        if not (type(order) is int and 2 <= order <= 5):
+            problems.append(
+                f"truncation_order must be an integer in 2..5, got {order!r}")
+        if problems:
+            raise ValidationError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,20 @@ def _check_keys(found: dict, allowed: set[str], where: str,
 def _is_number(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _non_finite(value, path: str = "") -> list[str]:
+    """Key path of every NaN or infinite number in a parsed JSON value
+    (``json`` reads ``NaN``, ``Infinity`` and ``-Infinity``)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return [f"{path} must be finite, got {value!r}"]
+    if isinstance(value, dict):
+        keyed = [(f"{path}.{k}" if path else k, v) for k, v in value.items()]
+    elif isinstance(value, list):
+        keyed = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        keyed = []
+    return [p for key, v in keyed for p in _non_finite(v, key)]
 
 
 def sweep_axis_problems(axes: dict) -> list[str]:
@@ -202,7 +226,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{cfg_path}:{exc.lineno}: {exc.msg}") from exc
 
-    problems: list[str] = []
+    problems = _non_finite(raw)
+    if problems:
+        raise ValidationError("; ".join(problems))
     _check_keys(raw, _TOP_KEYS, "top level", problems)
     res_raw = raw.get("resonator")
     if not isinstance(res_raw, dict):

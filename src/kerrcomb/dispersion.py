@@ -151,31 +151,17 @@ def find_overlap_windows(families: Sequence[ModalFamily],
     fams = sorted(families, key=lambda fam: fam.label)
     grids = {fam.label: _lines_in_range(fam, *f_range, truncation_order)
              for fam in fams}
-    if len(fams) == 1:
-        label = fams[0].label
-        windows = [
-            OverlapWindow(center=w / (2 * math.pi), width=0.0,
-                          families=(label,), detunings={label: 0.0})
-            for _, w in grids[label]
-        ]
-        return windows
-
+    if not all(grids.values()):
+        return []
     anchor = fams[0].label
     windows: list[OverlapWindow] = []
     for _, w_anchor in grids[anchor]:
         group = {anchor: w_anchor / (2 * math.pi)}
-        feasible = True
         for fam in fams[1:]:
-            lines = grids[fam.label]
-            if not lines:
-                feasible = False
-                break
             # tolerance is far below an FSR, so only the nearest line matters
-            f_near = min((w / (2 * math.pi) for _, w in lines),
-                         key=lambda f: abs(f - group[anchor]))
-            group[fam.label] = f_near
-        if not feasible:
-            continue
+            group[fam.label] = min(
+                (w / (2 * math.pi) for _, w in grids[fam.label]),
+                key=lambda f: abs(f - group[anchor]))
         f_min, f_max = min(group.values()), max(group.values())
         center = 0.5 * (f_min + f_max)
         if f_max - center <= tolerance:

@@ -4,10 +4,11 @@ Everything here re-derives results by a different numerical route than
 the production modules and shares no numerical code with them beyond the
 domain types: the classical three-mode equations are written once, with
 conjugates as independent slots, and integrated in time by one adaptive
-Dormand-Prince 5(4) stepper, ``relax_batch``; the fluctuation generator
-is rebuilt by central finite differences of that vector field, whose
-conjugate equations are the field itself, conjugated, at swapped and
-conjugated slots; stationary covariances are estimated by
+Dormand-Prince 5(4) stepper, ``relax_batch``, the only relaxation entry
+point (a single start state is a one-column batch); the fluctuation
+generator is rebuilt by central finite differences of that vector
+field, whose conjugate equations are the field itself, conjugated, at
+swapped and conjugated slots; stationary covariances are estimated by
 Euler-Maruyama sampling of the linear Langevin system, and the
 entanglement witness is minimized by exhaustive grid scan. All of it is
 deterministic given explicit seeds, step sizes and tolerances.
@@ -22,7 +23,6 @@ covariances are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +30,10 @@ from .model import NormalizedDrive
 from .steady import SteadyState
 
 __all__ = [
-    "MeanFieldState",
     "NonFiniteError",
     "UnstableError",
     "mean_field_rhs",
     "relax_batch",
-    "relax_to_steady",
     "fd_jacobian",
     "langevin_covariance",
     "brute_force_duan",
@@ -49,10 +47,6 @@ MIN_DUAN_GRID = 64
 RELAX_RTOL = RELAX_ATOL = 1e-12
 RELAX_FIRST_STEP = 1e-3
 RELAX_MIN_STEP = 1e-9
-# relax_to_steady extends its run in 25-unit chunks, at most this many
-# times, until every mode's time derivative is below the settle bound
-RELAX_SETTLE_TOL = 1e-10
-RELAX_MAX_EXTENSIONS = 20
 # normals drawn per block of Langevin chunks (0.5 MB of float64)
 NOISE_BLOCK_NORMALS = 1 << 16
 
@@ -64,25 +58,6 @@ class NonFiniteError(FloatingPointError):
 
 class UnstableError(ValueError):
     """The linear system is not damped; no stationary statistics exist."""
-
-
-@dataclass(frozen=True)
-class MeanFieldState:
-    """Classical amplitudes (pump, signal, idler), dimensionless."""
-
-    alpha_p: complex
-    alpha_minus: complex
-    alpha_plus: complex
-
-    def __post_init__(self) -> None:
-        for v in (self.alpha_p, self.alpha_minus, self.alpha_plus):
-            v = complex(v)
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError("amplitudes must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha_p, self.alpha_minus, self.alpha_plus],
-                        dtype=complex)
 
 
 def _require_time(name: str, value: float) -> None:
@@ -150,10 +125,13 @@ def relax_batch(init: np.ndarray, f_norm, dtp, dtl,
     error is within RELAX_ATOL + RELAX_RTOL·|α| in every mode; an
     overflowing trial step counts as rejected. Raises NonFiniteError
     when a step falls below RELAX_MIN_STEP·t_end (10⁹ steps to go),
-    which no bounded trajectory at a physical drive needs.
+    which no bounded trajectory at a physical drive needs. A non-finite
+    ``init`` or t_end raises ValueError.
     """
     _require_time("t_end", t_end)
     amps = np.array(init, dtype=complex)
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("init amplitudes must be finite")
     n = amps.shape[1]
     drives = [np.broadcast_to(np.asarray(v, dtype=float), (n,))
               for v in (f_norm, dtp, dtl)]
@@ -194,23 +172,6 @@ def relax_batch(init: np.ndarray, f_norm, dtp, dtl,
                 keep = ~done
                 live, y, k1, t, h = (live[keep], y[:, keep], k1[:, keep],
                                      t[keep], h[keep])
-    return amps
-
-
-def relax_to_steady(init: MeanFieldState, drive: NormalizedDrive,
-                    t_end: float = 200.0) -> np.ndarray:
-    """Integrate until the vector field is numerically quiet.
-
-    Finds attractors independently of the algebraic solver, extending
-    the run in chunks when the field is still moving. Callers should
-    re-check the residual if they need a hard guarantee.
-    """
-    args = (drive.f_norm, drive.dtp, drive.dtl)
-    amps = relax_batch(init.as_array()[:, None], *args, t_end)[:, 0]
-    for _ in range(RELAX_MAX_EXTENSIONS):
-        if np.max(np.abs(mean_field_rhs(amps, drive))) < RELAX_SETTLE_TOL:
-            break
-        amps = relax_batch(amps[:, None], *args, 25.0)[:, 0]
     return amps
 
 

@@ -275,8 +275,6 @@ def _mi_exclusion_mask(grids: list[SweepGrid], margin: int) -> np.ndarray:
     mi = np.zeros(shape, dtype=bool)
     for grid in grids:
         mi |= grid.phase_array() == Phase.MI.value
-    if margin <= 0:
-        return mi
     padded = np.pad(mi, margin, constant_values=False)
     out = np.zeros_like(mi)
     for di in range(-margin, margin + 1):
@@ -312,6 +310,8 @@ def best_joint_pump(families: list[ModalFamily], Ls: list[int],
     """
     if not families:
         raise ValueError("at least one family required")
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     sweeps = {}
     for fam in families:
         pump = pump_grid(fam, delta_axis, amplitude_axis)

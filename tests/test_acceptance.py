@@ -16,8 +16,9 @@ import pytest
 
 from kerrcomb import duan, fluct, oracle, steady
 from kerrcomb.config import load_config
-from kerrcomb.model import NormalizedDrive
 from kerrcomb.phases import Phase, best_joint_pump, pump_grid, sweep
+
+from helpers import amplitudes_of, drive_of
 
 SQRT3 = math.sqrt(3.0)
 SEED = 20260808
@@ -25,18 +26,6 @@ SEED = 20260808
 
 def report(name: str) -> None:
     print(f"ACCEPTANCE PASS: {name}")
-
-
-def drive_of(f, dtp, dtl):
-    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl)
-
-
-def amplitudes_of(state):
-    theta_p = -state.psi
-    theta_pair = 0.5 * (state.phi + 2.0 * theta_p)
-    a_p = math.sqrt(state.ap2) * np.exp(1j * theta_p)
-    a = math.sqrt(state.a2) * np.exp(1j * theta_pair)
-    return np.array([a_p, a, a])
 
 
 def test_criterion_01_table_fidelity():

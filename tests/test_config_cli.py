@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import math
 import multiprocessing.process
 
 import numpy as np
@@ -348,8 +349,22 @@ class TestCli:
         ("sweep_defaults", "amp_min_v_per_m", -1.0, "must be >= 0"),
         ("heatmap", "bucket_edges", [-0.5, -0.6, 0.0], "must ascend"),
         ("heatmap", "bucket_colors", ["#000000"], "one color per edge"),
+        ("tolerances", "epsilon_ne", True, "epsilon_ne must be a finite "
+         "positive number"),
+        ("tolerances", "epsilon_ne", 0.0, "epsilon_ne must be a finite "
+         "positive number"),
+        ("tolerances", "mi_margin_cells", 1.5, "must be an integer >= 0"),
+        ("tolerances", "mi_margin_cells", True, "must be an integer >= 0"),
+        ("tolerances", "mi_margin_cells", "2", "must be an integer >= 0"),
+        ("tolerances", "mi_margin_cells", -1, "must be an integer >= 0"),
+        ("tolerances", "truncation_order", 3.0, "must be an integer in 2..5"),
+        ("tolerances", "truncation_order", True, "must be an integer in 2..5"),
+        ("tolerances", "truncation_order", 6, "must be an integer in 2..5"),
     ], ids=["grid-zero", "grid-not-int", "delta-min-above-max",
-            "negative-amp-min", "edges-descend", "too-few-colors"])
+            "negative-amp-min", "edges-descend", "too-few-colors",
+            "epsilon-bool", "epsilon-zero", "margin-float", "margin-bool",
+            "margin-string", "margin-negative", "order-float", "order-bool",
+            "order-six"])
     def test_config_mistake_exits_2_before_sweep(self, tmp_path, capsys,
                                                  section, key, value,
                                                  problem):
@@ -362,6 +377,33 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {section}:") and problem in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("keys, name, value", [
+        (("resonator", "radius_um"), "resonator.radius_um", math.inf),
+        (("resonator", "families", 0, "d2_rad_s"),
+         "resonator.families[0].d2_rad_s", math.nan),
+        (("tolerances", "epsilon_ne"), "tolerances.epsilon_ne", math.nan),
+        (("sweep_defaults", "delta_max_ghz"), "sweep_defaults.delta_max_ghz",
+         math.inf),
+        (("heatmap", "bucket_edges", 1), "heatmap.bucket_edges[1]",
+         -math.inf),
+    ], ids=["resonator", "family", "tolerances", "sweep_defaults",
+            "heatmap"])
+    def test_non_finite_config_number_exits_2(self, tmp_path, capsys, keys,
+                                              name, value):
+        raw = json.loads(default_config_path().read_text())
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))  # writes NaN, Infinity, -Infinity
+        code = main(["phase-diagram", "--config", str(path), "--family",
+                     "TE00", "--grid", "2", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {name} must be finite, got {value!r}\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flags, problem", [

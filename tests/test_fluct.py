@@ -13,7 +13,6 @@ from kerrcomb.fluct import (
     max_eigenvalue_real,
     noise_spectrum,
 )
-from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import (
     Branch,
     SteadyState,
@@ -22,16 +21,14 @@ from kerrcomb.steady import (
     threshold,
 )
 
+from helpers import drive_of
+
 SWAP = (1, 0, 3, 2)
 
 
 def empty_state():
     return SteadyState(ap2=0.0, a2=0.0, phi=0.0, psi=0.0,
                        branch=Branch.PUMP_ONLY, stable=True)
-
-
-def drive_of(f, dtp, dtl):
-    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl)
 
 
 class TestBuildM:

@@ -8,12 +8,9 @@ import pytest
 from kerrcomb import oracle
 from kerrcomb.duan import quadrature_covariance
 from kerrcomb.fluct import build_m, noise_spectrum
-from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import Branch, SteadyState, pump_only_branches
 
-
-def drive_of(f, dtp, dtl):
-    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl)
+from helpers import drive_of
 
 
 def _rk4_endpoint(init, f, dtp, dtl, t_end, dt):
@@ -58,14 +55,6 @@ class TestMeanField:
                                    dtp, t_end=40.0)
         assert abs(final[0, 0] - a_p) < 1e-8
 
-    @pytest.mark.parametrize("t_end", [math.inf, math.nan, -1.0],
-                             ids=["infinite_t_end", "nan_t_end",
-                                  "negative_t_end"])
-    def test_bad_times_rejected(self, t_end):
-        init = oracle.MeanFieldState(0.1, 0.0, 0.0)
-        with pytest.raises(ValueError, match="t_end"):
-            oracle.relax_to_steady(init, drive_of(0.5, 0.2, 0.2), t_end)
-
 
 class TestRelaxBatch:
     @staticmethod
@@ -109,6 +98,13 @@ class TestRelaxBatch:
     def test_bad_t_end_rejected(self, t_end):
         with pytest.raises(ValueError, match="t_end"):
             oracle.relax_batch(np.zeros((3, 1)), 0.5, 0.2, 0.2, t_end)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                     complex(0.1, math.nan)])
+    def test_non_finite_init_rejected(self, bad):
+        init = np.array([[0.1, 0.2], [0.0, bad], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="init"):
+            oracle.relax_batch(init, 0.5, 0.2, 0.2, 1.0)
 
     def test_imports_numpy_only(self):
         code = ("import sys; from kerrcomb import oracle; "

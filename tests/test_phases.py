@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kerrcomb import fluct, phases, steady
 from kerrcomb.duan import pump_only_witness
 from kerrcomb.fluct import build_m, max_eigenvalue_real
-from kerrcomb.model import NormalizedDrive, OperatingPoint, normalize
+from kerrcomb.model import OperatingPoint, normalize
 from kerrcomb.phases import (
     JointPumpResult,
     NoFeasiblePointError,
@@ -23,14 +23,12 @@ from kerrcomb.phases import (
     sweep,
 )
 
+from helpers import drive_of
+
 SQRT3 = math.sqrt(3.0)
 # one stable pump-only root (max_eig_re = -1) with two parametric roots:
 # the one kind of MI cell where the parametric search decides
 PARAMETRIC_ONLY_MI = (1.2957, 1.9306, 3.5463)
-
-
-def drive_of(f, dtp, dtl):
-    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl)
 
 
 class TestClassify:
@@ -365,6 +363,11 @@ class TestBestJointPump:
                                  - result.amplitudes["TE00"])))
         window = mi[max(0, i - 2):i + 3, max(0, j - 2):j + 3]
         assert not window.any()
+
+    def test_negative_margin_rejected(self, te00):
+        axis = np.linspace(1e6, 2e6, 2)
+        with pytest.raises(ValueError, match="margin must be >= 0"):
+            best_joint_pump([te00], [1], axis, axis, margin=-1)
 
     def test_no_feasible_point_raises(self, te00):
         # amplitudes far too weak for any entanglement beyond epsilon

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kerrcomb import oracle, steady
 from kerrcomb.fluct import build_m
-from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import (
     SteadyState,
     bistability_turning_points,
@@ -18,20 +17,9 @@ from kerrcomb.steady import (
     threshold,
 )
 
+from helpers import amplitudes_of, drive_of
+
 SQRT3 = math.sqrt(3.0)
-
-
-def drive_of(f, dtp, dtl):
-    return NormalizedDrive(f_norm=f, dtp=dtp, dtl=dtl)
-
-
-def amplitudes_of(state: SteadyState) -> np.ndarray:
-    """Complex three-mode amplitudes in the drive-phase-zero gauge."""
-    theta_p = -state.psi
-    theta_pair = 0.5 * (state.phi + 2.0 * theta_p)
-    a_p = math.sqrt(state.ap2) * np.exp(1j * theta_p)
-    a = math.sqrt(state.a2) * np.exp(1j * theta_pair)
-    return np.array([a_p, a, a])
 
 
 def ode_residual(state: SteadyState, f, dtp, dtl) -> float:
@@ -395,9 +383,8 @@ class TestRelaxation:
         for f, dtp, dtl, s in cases:
             amps = amplitudes_of(s) + 1e-3 * (rng.standard_normal(3)
                                               + 1j * rng.standard_normal(3))
-            final = oracle.relax_to_steady(
-                oracle.MeanFieldState(*amps), drive_of(f, dtp, dtl),
-                t_end=80.0)
+            final = oracle.relax_batch(amps[:, None], f, dtp, dtl,
+                                       80.0)[:, 0]
             assert abs(abs(final[0]) ** 2 - s.ap2) < 1e-6
 
     def test_middle_root_escapes_to_outer_branch(self, rng):
@@ -406,8 +393,7 @@ class TestRelaxation:
         low, middle, high = pump_only_branches(f, 2.5)
         amps = amplitudes_of(middle)
         amps[0] *= 1.0 + 1e-5
-        final = oracle.relax_to_steady(oracle.MeanFieldState(*amps),
-                                       drive_of(f, 2.5, 2.5), t_end=400.0)
+        final = oracle.relax_batch(amps[:, None], f, 2.5, 2.5, 400.0)[:, 0]
         landed = abs(final[0]) ** 2
         assert (abs(landed - low.ap2) < 1e-6
                 or abs(landed - high.ap2) < 1e-6)
