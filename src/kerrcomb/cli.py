@@ -124,8 +124,7 @@ def _operating_point(args, cfg: RunConfig) -> tuple[NormalizedDrive, float]:
     op = OperatingPoint(family=fam, L=args.L,
                         delta_p0=args.detuning_ghz * 1e9,
                         a_pin=args.apin_v_per_m)
-    return (normalize(op, cfg.tolerances.truncation_order),
-            fam.intrinsic_fraction)
+    return normalize(op), fam.intrinsic_fraction
 
 
 def _axes_from_args(args, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -159,28 +158,28 @@ def _load_sigma(path: str) -> np.ndarray:
     return sigma
 
 
-def _dispersion_table(fams, ls, order: int) -> tuple[list[str], list[tuple]]:
+def _dispersion_table(fams, ls) -> tuple[list[str], list[tuple]]:
     return ["family", "L", "f_Hz", "Dint_rad_s"], [
         (fam.label, l,
-         float(disp.resonance_frequency(fam, l, order) / (2 * math.pi)),
-         float(disp.integrated_dispersion(fam, l, order)))
+         float(disp.resonance_frequency(fam, l) / (2 * math.pi)),
+         float(disp.integrated_dispersion(fam, l)))
         for fam in fams for l in ls]
 
 
-def _overlap_table(fams, f_range: tuple[float, float], tolerance: float,
-                   order: int) -> tuple[list[str], list[tuple]]:
-    windows = disp.find_overlap_windows(fams, f_range, tolerance, order)
+def _overlap_table(fams, f_range: tuple[float, float],
+                   tolerance: float) -> tuple[list[str], list[tuple]]:
+    windows = disp.find_overlap_windows(fams, f_range, tolerance)
     return ["center_Hz", "width_Hz", "families", "detunings_Hz"], [
         (w.center, w.width, "+".join(w.families),
          ";".join(repr(w.detunings[f]) for f in w.families))
         for w in windows]
 
 
-def _transmission_table(fams, center: float, half: float, samples: int,
-                        order: int) -> tuple[list[str], list[tuple], list]:
+def _transmission_table(fams, center: float, half: float,
+                        samples: int) -> tuple[list[str], list[tuple], list]:
     """Header, rows and the plot series in GHz from ``center``."""
     spectra = disp.transmission_spectrum(
-        fams, (center - half, center + half), samples, order)
+        fams, (center - half, center + half), samples)
     rows, series = [], []
     for label in sorted(spectra):
         freqs, trans = spectra[label]
@@ -196,8 +195,7 @@ def _transmission_table(fams, center: float, half: float, samples: int,
 def _cmd_dispersion(args, cfg: RunConfig, out: Path) -> list[Path]:
     _require(args.l_min <= args.l_max, "--l-min must not exceed --l-max")
     return _emit_table(args, out, "dispersion", *_dispersion_table(
-        _families_arg(cfg, args.families), range(args.l_min, args.l_max + 1),
-        cfg.tolerances.truncation_order))
+        _families_arg(cfg, args.families), range(args.l_min, args.l_max + 1)))
 
 
 def _cmd_overlap(args, cfg: RunConfig, out: Path) -> list[Path]:
@@ -207,7 +205,7 @@ def _cmd_overlap(args, cfg: RunConfig, out: Path) -> list[Path]:
     return _emit_table(args, out, "overlap", *_overlap_table(
         _families_arg(cfg, args.families),
         (args.f_min_thz * 1e12, args.f_max_thz * 1e12),
-        args.tolerance_ghz * 1e9, cfg.tolerances.truncation_order))
+        args.tolerance_ghz * 1e9))
 
 
 def _cmd_transmission(args, cfg: RunConfig, out: Path) -> list[Path]:
@@ -215,8 +213,7 @@ def _cmd_transmission(args, cfg: RunConfig, out: Path) -> list[Path]:
     _require(args.span_ghz > 0, "--span-ghz must be > 0")
     header, rows, series = _transmission_table(
         _families_arg(cfg, args.families), args.center_thz * 1e12,
-        args.span_ghz * 1e9 / 2.0, args.samples,
-        cfg.tolerances.truncation_order)
+        args.span_ghz * 1e9 / 2.0, args.samples)
     written = _emit_table(args, out, "transmission", header, rows)
     svg = line_plot_svg(series, config_digest(cfg),
                         x_label=f"f - {args.center_thz} THz (GHz)",
@@ -312,8 +309,7 @@ def _note_cell_errors(args, grids) -> None:
 def _sweep(args, cfg: RunConfig, pump: phases.PumpGrid,
            L: int) -> phases.SweepGrid:
     grid = phases.sweep(pump, L, omega=args.omega,
-                        epsilon_ne=cfg.tolerances.epsilon_ne,
-                        truncation_order=cfg.tolerances.truncation_order)
+                        epsilon_ne=cfg.tolerances.epsilon_ne)
     _note_cell_errors(args, [grid])
     return grid
 
@@ -325,8 +321,7 @@ def _joint_pump(args, cfg: RunConfig, out: Path, name: str, fams,
     result, sweeps = phases.best_joint_pump(
         fams, ls, delta_axis, amp_axis, omega=args.omega,
         epsilon_ne=cfg.tolerances.epsilon_ne,
-        margin=cfg.tolerances.mi_margin_cells,
-        truncation_order=cfg.tolerances.truncation_order)
+        margin=cfg.tolerances.mi_margin_cells)
     _note_cell_errors(args, [g for grids in sweeps.values() for g in grids])
     payload = {
         "delta_p0_hz": result.delta_p0,
@@ -450,7 +445,7 @@ def _oracle_langevin(args, cfg: RunConfig, out: Path) -> list[Path]:
 def _reproduce_fig2(args, cfg: RunConfig, out: Path) -> list[Path]:
     fams = cfg.resonator.families
     ls = range(-600, 601, 4)
-    header, rows = _dispersion_table(fams, ls, cfg.tolerances.truncation_order)
+    header, rows = _dispersion_table(fams, ls)
     d_int = np.array([r[3] for r in rows]).reshape(len(fams), len(ls))
     series = [(fam.label, np.array(ls, dtype=float), d / (2e9 * math.pi))
               for fam, d in zip(fams, d_int)]
@@ -466,10 +461,8 @@ def _reproduce_fig2(args, cfg: RunConfig, out: Path) -> list[Path]:
 def _reproduce_fig3(args, cfg: RunConfig, out: Path) -> list[Path]:
     fams = [cfg.resonator.family(lbl) for lbl in ("TE00", "TE10", "TM10")]
     center = 214.593e12
-    order = cfg.tolerances.truncation_order
-    header, rows, series = _transmission_table(fams, center, 15e9, 3001,
-                                               order)
-    overlap = _overlap_table(fams, (center - 60e9, center + 60e9), 2e9, order)
+    header, rows, series = _transmission_table(fams, center, 15e9, 3001)
+    overlap = _overlap_table(fams, (center - 60e9, center + 60e9), 2e9)
     written = [write_output(out, "fig3_transmission.csv", _csv(header, rows)),
                write_output(out, "fig3_overlap.csv", _csv(*overlap))]
     svg = line_plot_svg(series, config_digest(cfg),
@@ -516,8 +509,7 @@ def _reproduce_fig6(args, cfg: RunConfig, out: Path) -> list[Path]:
         for delta in delta_axis:
             drive = normalize(OperatingPoint(family=fam, L=1,
                                              delta_p0=float(delta),
-                                             a_pin=a_pin),
-                              cfg.tolerances.truncation_order)
+                                             a_pin=a_pin))
             op = phases.operating_state(drive, fam.intrinsic_fraction)
             point = phases.classify_state(
                 op, omega=args.omega, epsilon_ne=cfg.tolerances.epsilon_ne)

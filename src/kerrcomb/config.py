@@ -14,7 +14,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .model import C_VACUUM, ModalFamily, ResonatorSpec
@@ -165,7 +165,26 @@ def _heatmap_problems(heatmap: dict) -> list[str]:
     return problems
 
 
-def _build_family(raw: dict, problems: list[str]) -> ModalFamily | None:
+def _typed(value, kind: type, path: str, problems: list[str]):
+    """``value`` if a ``kind`` (dict or list), else an empty one."""
+    if isinstance(value, kind):
+        return value
+    name = "an object" if kind is dict else "a list"
+    problems.append(f"{path} must be {name}, got {value!r}")
+    return kind()
+
+
+def _number_problems(raw: dict, keys: set[str], path: str) -> list[str]:
+    """Each of ``keys`` in ``raw`` whose value is not a JSON number."""
+    return [f"{path}.{k} must be a number, got {raw[k]!r}"
+            for k in raw if k in keys and not _is_number(raw[k])]
+
+
+def _build_family(raw: dict, path: str,
+                  problems: list[str]) -> ModalFamily | None:
+    if not isinstance(raw, dict):
+        _typed(raw, dict, path, problems)
+        return None
     where = f"family {raw.get('label', '?')}"
     _check_keys(raw, _FAMILY_KEYS, where, problems)
     missing = {"label", "d1_rad_s", "d2_rad_s", "d3_rad_s", "f0_thz",
@@ -193,19 +212,18 @@ def _build_family(raw: dict, problems: list[str]) -> ModalFamily | None:
     except (ValueError, TypeError) as exc:
         problems.append(f"{where}: {exc}")
         return None
+    # float() took true and "1e3" too, and never saw the transcriptions
+    bad = _number_problems(raw, _FAMILY_KEYS - {"label"}, path)
+    if bad:
+        problems += bad
+        return None
     # transcribed derived rows must agree with the defining columns
-    if "fsr_ghz" in raw:
-        fsr = fam.d1 / (2.0 * math.pi) / 1e9
-        if not math.isclose(fsr, float(raw["fsr_ghz"]), rel_tol=1e-9):
-            problems.append(
-                f"{where}: fsr_ghz {raw['fsr_ghz']} does not match "
-                f"d1/2π = {fsr!r} GHz")
-    if "lambda0_nm" in raw:
-        lam = C_VACUUM / fam.f0 * 1e9
-        if not math.isclose(lam, float(raw["lambda0_nm"]), rel_tol=1e-9):
-            problems.append(
-                f"{where}: lambda0_nm {raw['lambda0_nm']} does not match "
-                f"c/f0 = {lam!r} nm")
+    for key, formula, value, unit in (
+            ("fsr_ghz", "d1/2π", fam.d1 / (2.0 * math.pi) / 1e9, "GHz"),
+            ("lambda0_nm", "c/f0", C_VACUUM / fam.f0 * 1e9, "nm")):
+        if key in raw and not math.isclose(value, raw[key], rel_tol=1e-9):
+            problems.append(f"{where}: {key} {raw[key]} does not match "
+                            f"{formula} = {value!r} {unit}")
     return fam
 
 
@@ -227,6 +245,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         raise ParseError(f"{cfg_path}:{exc.lineno}: {exc.msg}") from exc
 
     problems = _non_finite(raw)
+    if not problems:
+        _typed(raw, dict, "top level", problems)
     if problems:
         raise ValidationError("; ".join(problems))
     _check_keys(raw, _TOP_KEYS, "top level", problems)
@@ -236,8 +256,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     _check_keys(res_raw, _RESONATOR_KEYS, "resonator", problems)
 
     families = []
-    for fam_raw in res_raw.get("families", []):
-        fam = _build_family(fam_raw, problems)
+    for i, fam_raw in enumerate(_typed(res_raw.get("families", []), list,
+                                       "resonator.families", problems)):
+        fam = _build_family(fam_raw, f"resonator.families[{i}]", problems)
         if fam is not None:
             families.append(fam)
 
@@ -248,12 +269,16 @@ def load_config(path: str | Path | None = None) -> RunConfig:
             n2=float(res_raw.get("n2_m2_per_w", 0.0)),
             n0=float(res_raw.get("n0", 1.0)),
             families=tuple(families),
-            geometry=dict(res_raw.get("geometry", {})),
+            geometry=dict(_typed(res_raw.get("geometry", {}), dict,
+                                 "resonator.geometry", problems)),
         )
     except (ValueError, TypeError) as exc:
         problems.append(f"resonator: {exc}")
+    else:
+        problems += _number_problems(
+            res_raw, {"radius_um", "n2_m2_per_w", "n0"}, "resonator")
 
-    tol_raw = raw.get("tolerances", {})
+    tol_raw = _typed(raw.get("tolerances", {}), dict, "tolerances", problems)
     _check_keys(tol_raw, _TOLERANCE_KEYS, "tolerances", problems)
     tolerances = None
     try:
@@ -274,6 +299,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     if problems:
         raise ValidationError("; ".join(problems))
     assert resonator is not None and tolerances is not None
+    resonator = replace(resonator, families=tuple(
+        fam.truncated(tolerances.truncation_order)
+        for fam in resonator.families))
     return RunConfig(resonator=resonator, tolerances=tolerances,
                      heatmap=heatmap, sweep_defaults=sweep, raw=raw)
 

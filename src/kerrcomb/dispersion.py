@@ -3,7 +3,7 @@
 The resonance grid of a modal family is the Taylor expansion around the
 expansion-point resonance ω₀,
 
-    ω_L = ω₀ + Σ_{n=1..order} d_n Lⁿ / n!,
+    ω_L = ω₀ + Σ_{n=1..5} d_n Lⁿ / n!   (d_n = 0 past the truncation order),
 
 and the integrated dispersion is its deviation from an equally spaced
 comb, D_int(L) = ω_L − ω₀ − d₁L. Through-port transmission dips are
@@ -30,9 +30,6 @@ __all__ = [
     "find_overlap_windows",
     "composite_pump_weights",
 ]
-
-_FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0)
-
 
 class EmptyRangeError(ValueError):
     """Requested frequency range contains nothing to evaluate."""
@@ -65,36 +62,31 @@ class OverlapWindow:
         return max(abs(d) for d in self.detunings.values())
 
 
-def resonance_frequency(family: ModalFamily, L: int,
-                        truncation_order: int = 3) -> float:
-    """ω_L in rad/s from the truncated Taylor expansion."""
-    coeffs = family.dispersion_coefficients(truncation_order)
+def resonance_frequency(family: ModalFamily, L: int) -> float:
+    """ω_L in rad/s from the Taylor expansion."""
     omega = family.omega0
-    for n, d_n in enumerate(coeffs, start=1):
-        omega += d_n * L ** n / _FACTORIALS[n]
+    for n in range(1, 6):
+        omega += getattr(family, f"d{n}") * L ** n / math.factorial(n)
     return omega
 
 
-def integrated_dispersion(family: ModalFamily, L: int,
-                          truncation_order: int = 3) -> float:
+def integrated_dispersion(family: ModalFamily, L: int) -> float:
     """D_int(L) = Σ_{n≥2} d_n Lⁿ/n! in rad/s (zero at L = 0)."""
-    coeffs = family.dispersion_coefficients(truncation_order)
     d_int = 0.0
-    for n, d_n in enumerate(coeffs, start=1):
-        if n >= 2:
-            d_int += d_n * L ** n / _FACTORIALS[n]
+    for n in range(2, 6):
+        d_int += getattr(family, f"d{n}") * L ** n / math.factorial(n)
     return d_int
 
 
-def _lines_in_range(family: ModalFamily, f_lo: float, f_hi: float,
-                    truncation_order: int) -> list[tuple[int, float]]:
+def _lines_in_range(family: ModalFamily, f_lo: float,
+                    f_hi: float) -> list[tuple[int, float]]:
     """(L, ω_L) pairs whose frequency falls inside [f_lo, f_hi]."""
     # d1 dominates, so bracket L by the equally spaced estimate and pad.
     l_lo = math.floor((2 * math.pi * f_lo - family.omega0) / family.d1) - 2
     l_hi = math.ceil((2 * math.pi * f_hi - family.omega0) / family.d1) + 2
     out = []
     for l in range(l_lo, l_hi + 1):
-        w = resonance_frequency(family, l, truncation_order)
+        w = resonance_frequency(family, l)
         f = w / (2 * math.pi)
         if f_lo <= f <= f_hi:
             out.append((l, w))
@@ -102,9 +94,7 @@ def _lines_in_range(family: ModalFamily, f_lo: float, f_hi: float,
 
 
 def transmission_spectrum(families: Sequence[ModalFamily],
-                          f_range: tuple[float, float],
-                          samples: int,
-                          truncation_order: int = 3,
+                          f_range: tuple[float, float], samples: int,
                           ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Through-port transmission of each family over a frequency span.
 
@@ -129,8 +119,7 @@ def transmission_spectrum(families: Sequence[ModalFamily],
         trans = np.ones_like(freqs)
         # include lines slightly outside the span so edge dips are not cut
         pad = 5.0 * total / (2 * math.pi)
-        for _, w_l in _lines_in_range(fam, f_lo - pad, f_hi + pad,
-                                      truncation_order):
+        for _, w_l in _lines_in_range(fam, f_lo - pad, f_hi + pad):
             det = 2.0 * (2.0 * math.pi * freqs - w_l) / total
             trans *= 1.0 - depth / (1.0 + det ** 2)
         out[fam.label] = (freqs, trans)
@@ -139,8 +128,7 @@ def transmission_spectrum(families: Sequence[ModalFamily],
 
 def find_overlap_windows(families: Sequence[ModalFamily],
                          f_range: tuple[float, float],
-                         tolerance: float,
-                         truncation_order: int = 3) -> list[OverlapWindow]:
+                         tolerance: float) -> list[OverlapWindow]:
     """Windows where one resonance per family sits within ``tolerance``
     (Hz) of a common center.
 
@@ -149,8 +137,7 @@ def find_overlap_windows(families: Sequence[ModalFamily],
     A single requested family makes every resonance its own window.
     """
     fams = sorted(families, key=lambda fam: fam.label)
-    grids = {fam.label: _lines_in_range(fam, *f_range, truncation_order)
-             for fam in fams}
+    grids = {fam.label: _lines_in_range(fam, *f_range) for fam in fams}
     if not all(grids.values()):
         return []
     anchor = fams[0].label

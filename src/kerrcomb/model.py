@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = [
     "HBAR",
@@ -132,11 +132,10 @@ class ModalFamily:
         """Free spectral range d1/2π, Hz."""
         return self.d1 / (2.0 * math.pi)
 
-    def dispersion_coefficients(self, order: int = 5) -> tuple[float, ...]:
-        """(d1, ..., d_order) truncated to the requested order."""
-        coeffs = (self.d1, self.d2, self.d3, self.d4, self.d5)
+    def truncated(self, order: int) -> "ModalFamily":
+        """A copy with d_n = 0.0 for every n above ``order`` (1..5)."""
         _require(1 <= order <= 5, "truncation order must be in 1..5")
-        return coeffs[:order]
+        return replace(self, **{f"d{n}": 0.0 for n in range(order + 1, 6)})
 
 
 @dataclass(frozen=True)
@@ -228,11 +227,11 @@ def damping_rates(family: ModalFamily) -> dict[str, float]:
 def nonlinear_rate(family: ModalFamily, resonator: ResonatorSpec) -> float:
     """Geometric estimate of the per-photon Kerr shift, rad/s.
 
-    Evaluates ħω₀²c·n2 / (n_eff²·V_eff) with V_eff = A_eff·2πR. When a
-    family carries a tabulated ``eta`` this estimate serves only as a
-    consistency check; a discrepancy beyond 20% triggers a warning
-    because tabulated rates and the ring-volume estimate bracket the
-    true value from different sides.
+    Evaluates ħω₀²c·n2 / (n_eff²·V_eff) with V_eff = A_eff·2πR, and warns
+    when it differs from the tabulated ``eta`` by more than 20%: the two
+    bracket the true rate from different sides. No command calls it; it
+    stays as the only reader of the ring radius (240 µm in the packaged
+    table) and of n2, and the only check that η follows from them.
     """
     v_eff = family.a_eff * 2.0 * math.pi * resonator.radius
     if v_eff == 0.0:
@@ -260,8 +259,7 @@ def input_power(family: ModalFamily, a_pin: float) -> float:
     return 0.5 * family.n_eff * EPSILON_0 * C_VACUUM * family.a_eff * a_pin ** 2
 
 
-def normalize(op_point: OperatingPoint,
-              truncation_order: int = 3) -> NormalizedDrive:
+def normalize(op_point: OperatingPoint) -> NormalizedDrive:
     """The dimensionless drive of one operating point.
 
     F and Δ̃_p come from ``pump_row``, Δ̃_L = Δ̃_p + ``pair_offset``.
@@ -270,7 +268,7 @@ def normalize(op_point: OperatingPoint,
                               (op_point.a_pin,))
     return NormalizedDrive(
         f_norm=f_norm, dtp=dtp,
-        dtl=dtp + pair_offset(op_point.family, op_point.L, truncation_order))
+        dtl=dtp + pair_offset(op_point.family, op_point.L))
 
 
 def pump_row(family: ModalFamily, delta_p0: float,
@@ -291,8 +289,7 @@ def pump_row(family: ModalFamily, delta_p0: float,
              for a_pin in a_pins], 2.0 * math.pi * delta_p0 / total)
 
 
-def pair_offset(family: ModalFamily, L: int,
-                truncation_order: int = 3) -> float:
+def pair_offset(family: ModalFamily, L: int) -> float:
     """D_int(L)/Γ, so that Δ̃_L = Δ̃_p + pair_offset (see NormalizedDrive).
 
     The only part of the drive that depends on L.
@@ -300,5 +297,4 @@ def pair_offset(family: ModalFamily, L: int,
     from .dispersion import integrated_dispersion
 
     _require(L >= 1, "mode-pair index L must be >= 1")
-    return (integrated_dispersion(family, L, truncation_order)
-            / damping_rates(family)["Gamma"])
+    return integrated_dispersion(family, L) / damping_rates(family)["Gamma"]

@@ -245,8 +245,7 @@ def classify_drive(drive: NormalizedDrive, omega: float = 0.0,
 
 
 def sweep(pump: PumpGrid, L: int, omega: float = 0.0,
-          epsilon_ne: float = EPSILON_NE,
-          truncation_order: int = 3) -> SweepGrid:
+          epsilon_ne: float = EPSILON_NE) -> SweepGrid:
     """Classify every cell of a family's pump grid for one L.
 
     Only Δ̃_L = Δ̃_p + D_int(L)/Γ is new per L; each cell goes through
@@ -254,7 +253,7 @@ def sweep(pump: PumpGrid, L: int, omega: float = 0.0,
     process.
     """
     family = pump.family
-    offset = pair_offset(family, L, truncation_order)
+    offset = pair_offset(family, L)
     points = []
     for f_row, dtp, root_row in zip(pump.f_norm, pump.dtp, pump.roots):
         dtl = dtp + offset
@@ -298,7 +297,6 @@ def best_joint_pump(families: list[ModalFamily], Ls: list[int],
                     delta_axis: np.ndarray, amplitude_axis: np.ndarray,
                     omega: float = 0.0, epsilon_ne: float = EPSILON_NE,
                     margin: int = MI_MARGIN_CELLS,
-                    truncation_order: int = 3,
                     ) -> tuple[JointPumpResult, dict[str, list[SweepGrid]]]:
     """Best single pump frequency with per-family amplitudes.
 
@@ -316,9 +314,7 @@ def best_joint_pump(families: list[ModalFamily], Ls: list[int],
     for fam in families:
         pump = pump_grid(fam, delta_axis, amplitude_axis)
         sweeps[fam.label] = [sweep(pump, L, omega=omega,
-                                   epsilon_ne=epsilon_ne,
-                                   truncation_order=truncation_order)
-                             for L in Ls]
+                                   epsilon_ne=epsilon_ne) for L in Ls]
     # per family and detuning row: the amplitude whose worst witness over
     # L is lowest outside the MI margin, and that witness value
     rows = np.arange(len(delta_axis))

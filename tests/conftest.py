@@ -3,6 +3,8 @@ import pytest
 
 from kerrcomb.config import load_config
 
+from helpers import config_at_order
+
 
 @pytest.fixture(scope="session")
 def cfg():
@@ -17,6 +19,13 @@ def resonator(cfg):
 @pytest.fixture(scope="session")
 def te00(resonator):
     return resonator.family("TE00")
+
+
+@pytest.fixture(scope="session")
+def resonator_order5(tmp_path_factory):
+    """The packaged resonator loaded at truncation order 5: every d_n."""
+    return load_config(config_at_order(
+        5, tmp_path_factory.mktemp("order5"))).resonator
 
 
 @pytest.fixture()

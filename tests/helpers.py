@@ -1,9 +1,12 @@
 """Helpers shared by the test modules."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
+from kerrcomb.config import default_config_path
 from kerrcomb.model import NormalizedDrive
 from kerrcomb.steady import SteadyState
 
@@ -19,3 +22,12 @@ def amplitudes_of(state: SteadyState) -> np.ndarray:
     a_p = math.sqrt(state.ap2) * np.exp(1j * theta_p)
     a = math.sqrt(state.a2) * np.exp(1j * theta_pair)
     return np.array([a_p, a, a])
+
+
+def config_at_order(order: int, directory: Path) -> Path:
+    """The packaged config with ``truncation_order`` set, as a file."""
+    raw = json.loads(default_config_path().read_text())
+    raw["tolerances"]["truncation_order"] = order
+    path = directory / f"order{order}.json"
+    path.write_text(json.dumps(raw))
+    return path

@@ -2,8 +2,10 @@
 
 The library counterpart of the CLI's unread-flag check: every parameter
 of a module-level function named in a module's ``__all__`` must be read
-somewhere in that function's body. The package declares numpy as its
-one dependency, so importing the CLI loads no other third-party module.
+somewhere in that function's body, and the total count of those
+parameters is pinned, as the CLI's flag slots are. The package declares
+numpy as its one dependency, so importing the CLI loads no other
+third-party module.
 """
 
 import ast
@@ -29,13 +31,16 @@ def _public_functions(tree: ast.Module):
             if isinstance(node, ast.FunctionDef) and node.name in exported]
 
 
-def _unread_parameters(fn: ast.FunctionDef) -> list[str]:
+def _parameters(fn: ast.FunctionDef) -> list[str]:
     a = fn.args
-    params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
-                              a.vararg, a.kwarg) if p is not None]
+    return [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                            a.vararg, a.kwarg) if p is not None]
+
+
+def _unread_parameters(fn: ast.FunctionDef) -> list[str]:
     read = {node.id for stmt in fn.body for node in ast.walk(stmt)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [p for p in params if p not in read]
+    return [p for p in _parameters(fn) if p not in read]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -44,6 +49,15 @@ def test_public_functions_read_every_parameter(path):
     unread = {fn.name: _unread_parameters(fn)
               for fn in _public_functions(tree)}
     assert {name: p for name, p in unread.items() if p} == {}
+
+
+def test_public_parameter_slots():
+    # every parameter of every public function, the library's knob count;
+    # a parameter added or removed anywhere changes it
+    slots = sum(len(_parameters(fn)) for path in MODULES
+                for fn in _public_functions(
+                    ast.parse(path.read_text(encoding="utf-8"))))
+    assert slots == 121
 
 
 def test_guard_sees_an_unread_parameter():

@@ -1,5 +1,4 @@
 import argparse
-import inspect
 import json
 import math
 import multiprocessing.process
@@ -19,6 +18,8 @@ from kerrcomb.config import (
     serialize_config,
 )
 from kerrcomb.model import NormalizedDrive
+
+from helpers import config_at_order
 
 
 def parser_leaves(parser, path=()):
@@ -406,6 +407,42 @@ class TestCli:
             f"config error: {name} must be finite, got {value!r}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("keys, value, problem", [
+        (("tolerances",), 5, "tolerances must be an object, got 5"),
+        ((), [], "top level must be an object, got []"),
+        (("resonator", "families"), 5,
+         "resonator.families must be a list, got 5"),
+        (("resonator", "families", 0), 7,
+         "resonator.families[0] must be an object, got 7"),
+        (("resonator", "families", 0, "fsr_ghz"), "x",
+         "resonator.families[0].fsr_ghz must be a number, got 'x'"),
+        (("resonator", "families", 0, "d2_rad_s"), True,
+         "resonator.families[0].d2_rad_s must be a number, got True"),
+        (("resonator", "radius_um"), True,
+         "resonator.radius_um must be a number, got True"),
+        (("resonator", "geometry"), [["gap_um", 0.49]],
+         "resonator.geometry must be an object, got [['gap_um', 0.49]]"),
+    ], ids=["tolerances-int", "top-level-list", "families-int",
+            "family-entry-int", "fsr-string", "d2-bool", "radius-bool",
+            "geometry-list"])
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, keys, value,
+                                     problem):
+        raw = json.loads(default_config_path().read_text())
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        if keys:
+            node[keys[-1]] = value
+        else:
+            raw = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code = main(["dispersion", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {problem}")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flags, problem", [
         (["--grid", "0"], "grid must be an integer >= 1"),
         (["--delta-min-ghz", "0.5", "--delta-max-ghz", "0.1"],
@@ -639,26 +676,30 @@ class TestCli:
         assert len(calls) == 5 * 5
         assert len(set(calls)) == len(calls)
 
-    def test_fig6_sweeps_use_config_truncation_order(self, tmp_path,
-                                                      monkeypatch):
+    def test_config_truncation_order_applied_at_load(self, tmp_path):
+        # load_config zeroes d_n past the order, so no sweep, table or
+        # drive takes one; a higher order still moves the outputs
         raw = json.loads(default_config_path().read_text())
-        raw["tolerances"]["truncation_order"] = 5
-        path = tmp_path / "order5.json"
-        path.write_text(json.dumps(raw))
-        original = phases.sweep
-        orders = []
-
-        def sweep(*args, **kwargs):
-            bound = inspect.signature(original).bind(*args, **kwargs)
-            bound.apply_defaults()
-            orders.append(bound.arguments["truncation_order"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(phases, "sweep", sweep)
-        code = main(["reproduce", "fig6", "--config", str(path),
-                     "--grid", "4", "--out", str(tmp_path / "o")])
-        assert code == 0
-        assert orders == [5, 5, 5]
+        outputs = {}
+        for order in (2, 3, 4, 5):
+            path = config_at_order(order, tmp_path)
+            families = load_config(path).resonator.families
+            for fam, fam_raw in zip(families, raw["resonator"]["families"]):
+                for n in range(1, 6):
+                    expected = fam_raw[f"d{n}_rad_s"] if n <= order else 0.0
+                    assert getattr(fam, f"d{n}") == expected
+            if order in (3, 5):
+                out = tmp_path / f"o{order}"
+                for argv in (["reproduce", "fig6", "--grid", "4"],
+                             ["dispersion"]):
+                    assert main([*argv, "--config", str(path),
+                                 "--out", str(out)]) == 0
+                outputs[order] = {f.name: f.read_bytes()
+                                  for f in out.glob("*.csv")}
+        assert outputs[3].keys() == outputs[5].keys()
+        assert len(outputs[3]) == 4  # fig6 per family, and dispersion
+        assert all(outputs[3][name] != outputs[5][name]
+                   for name in outputs[3])
 
     def test_manifest_checksums_stable(self, tmp_path):
         args = ["dispersion", "--l-min", "-1", "--l-max", "1"]

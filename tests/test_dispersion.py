@@ -26,7 +26,7 @@ class TestResonanceFrequency:
                                                              rel=1e-15)
 
     def test_first_line_order_two(self, te00):
-        got = resonance_frequency(te00, 1, truncation_order=2)
+        got = resonance_frequency(te00.truncated(2), 1)
         assert got - OMEGA0_TE00 == pytest.approx(STEP_L1_ORDER2, rel=1e-12)
 
     def test_fsr_matches_table(self, resonator):
@@ -41,42 +41,45 @@ class TestResonanceFrequency:
         # done on the deviation from the equally spaced grid because the
         # absolute frequencies (~1e15 rad/s) leave only ~7 digits after
         # the cancellation
-        dint = [integrated_dispersion(te00, l, 2) for l in range(-40, 41)]
+        fam = te00.truncated(2)
+        dint = [integrated_dispersion(fam, l) for l in range(-40, 41)]
         second = np.diff(dint, 2)
         assert np.allclose(second, te00.d2, rtol=1e-10)
         # and the full grid agrees within float rounding of the carrier
-        omegas = [resonance_frequency(te00, l, 2) for l in range(-40, 41)]
+        omegas = [resonance_frequency(fam, l) for l in range(-40, 41)]
         ulp = np.spacing(max(omegas))
         assert np.allclose(np.diff(omegas, 2), te00.d2, atol=8 * ulp)
 
 
 class TestIntegratedDispersion:
     def test_te00_first_pair(self, te00):
-        assert integrated_dispersion(te00, 1, 3) == pytest.approx(
+        assert integrated_dispersion(te00.truncated(3), 1) == pytest.approx(
             DINT_L1_ORDER3, rel=1e-12)
 
-    def test_zero_at_center(self, resonator):
-        for fam in resonator.families:
+    def test_zero_at_center(self, resonator_order5):
+        for fam in resonator_order5.families:
             for order in (2, 3, 4, 5):
-                assert integrated_dispersion(fam, 0, order) == 0.0
+                assert integrated_dispersion(fam.truncated(order), 0) == 0.0
 
     def test_odd_term_parity(self, te00, rng):
         # order 3: D_int(L) + D_int(-L) isolates the even d2 term
+        fam = te00.truncated(3)
         for L in rng.integers(1, 200, size=12):
             L = int(L)
-            total = (integrated_dispersion(te00, L, 3)
-                     + integrated_dispersion(te00, -L, 3))
+            total = (integrated_dispersion(fam, L)
+                     + integrated_dispersion(fam, -L))
             assert total == pytest.approx(te00.d2 * L * L, rel=1e-12)
 
-    def test_definitional_identity(self, resonator, rng):
+    def test_definitional_identity(self, resonator_order5, rng):
         # D_int = ω_L − ω0 − d1·L at every order; the right side carries
         # the rounding of the ~1e15 rad/s carrier, about 0.25 rad/s
-        for fam in resonator.families:
+        for full in resonator_order5.families:
             for order in (2, 3, 4, 5):
+                fam = full.truncated(order)
                 for L in rng.integers(-300, 300, size=8):
                     L = int(L)
-                    lhs = integrated_dispersion(fam, L, order)
-                    omega = resonance_frequency(fam, L, order)
+                    lhs = integrated_dispersion(fam, L)
+                    omega = resonance_frequency(fam, L)
                     rhs = omega - fam.omega0 - fam.d1 * L
                     assert lhs == pytest.approx(rhs,
                                                 abs=8 * np.spacing(omega))

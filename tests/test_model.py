@@ -110,7 +110,7 @@ class TestNormalize:
         op = OperatingPoint(family=te00, L=3, delta_p0=0.0, a_pin=1e6)
         drive = normalize(op)
         assert drive.dtp == 0.0
-        d_int = integrated_dispersion(te00, 3, 3)
+        d_int = integrated_dispersion(te00.truncated(3), 3)
         assert drive.dtl == pytest.approx(
             d_int / damping_rates(te00)["Gamma"], rel=1e-12)
 
@@ -139,7 +139,8 @@ class TestNormalize:
                 op = OperatingPoint(family=fam, L=L, delta_p0=delta,
                                     a_pin=1e6)
                 drive = normalize(op)
-                d_int = integrated_dispersion(fam, L, 3) / rates["Gamma"]
+                d_int = (integrated_dispersion(fam.truncated(3), L)
+                         / rates["Gamma"])
                 assert drive.dtl == drive.dtp + d_int
 
     def test_input_power_convention(self, te00):
@@ -161,6 +162,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="unique"):
             ResonatorSpec(radius=resonator.radius, n2=resonator.n2,
                           n0=resonator.n0, families=(te00, te00))
+
+    def test_truncated_order_range(self):
+        fam = _family()
+        assert fam.truncated(5) == fam
+        for order in (0, 6):
+            with pytest.raises(ValueError, match="truncation order"):
+                fam.truncated(order)
 
     def test_mode_pair_index_positive(self, te00):
         with pytest.raises(ValueError, match="L"):
