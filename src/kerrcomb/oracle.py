@@ -9,7 +9,8 @@ point (a single start state is a one-column batch); the fluctuation
 generator is rebuilt by central finite differences of that vector
 field, whose conjugate equations are the field itself, conjugated, at
 swapped and conjugated slots; stationary covariances are estimated by
-Euler-Maruyama sampling of the linear Langevin system, and the
+Euler-Maruyama sampling of the linear Langevin system, advanced in
+exact chunks of up to LANGEVIN_CHUNK_STEPS steps, and the
 entanglement witness is minimized by exhaustive grid scan. All of it is
 deterministic given explicit seeds, step sizes and tolerances.
 
@@ -47,6 +48,8 @@ MIN_DUAN_GRID = 64
 RELAX_RTOL = RELAX_ATOL = 1e-12
 RELAX_FIRST_STEP = 1e-3
 RELAX_MIN_STEP = 1e-9
+# Euler-Maruyama steps per Langevin chunk, each drawn as one Gaussian
+LANGEVIN_CHUNK_STEPS = 1024
 # normals drawn per block of Langevin chunks (0.5 MB of float64)
 NOISE_BLOCK_NORMALS = 1 << 16
 
@@ -214,6 +217,41 @@ def fd_jacobian(state: SteadyState, drive: NormalizedDrive,
     return jac
 
 
+def _chunk_map(stepper: np.ndarray, dt: float, t_in: float,
+               span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact map of ``span`` Euler-Maruyama steps of the Langevin chain.
+
+    Returns the (8, 4) lift [Aᵏ; t_out·dτ·Sₖ], Sₖ = Σ_{i<k} Aⁱ, from a
+    chunk's start state to its end state and window-sum increment, and
+    the symmetric square root of the (8, 8) covariance Qₖ of the noise
+    added to them (t_out = T_in). One step is (A, t_out·dτ·I,
+    (dτ/2)·g·gᵀ) with g = [I; −T_in/2·I], and ``span`` steps are built
+    from it by binary composition (docs/derivation.md, "Langevin
+    sampler").
+    """
+    eye = np.eye(4)
+    gain = np.vstack((eye, -(t_in / 2.0) * eye))
+    unit = (np.vstack((stepper, (t_in * dt) * eye)),
+            (dt / 2.0) * gain @ gain.T)
+
+    def then(first, second):
+        # chunk a, then chunk b: G = [[A_b, 0], [t_out·dτ·S_b, I]] carries
+        # a's lift and covariance through b, whose own noise adds Q_b
+        (lift_a, cov_a), (lift_b, cov_b) = first, second
+        carry = np.hstack((lift_b, np.eye(8)[:, 4:]))
+        return carry @ lift_a, carry @ cov_a @ carry.T + cov_b
+
+    total = (np.eye(8, 4), np.zeros((8, 8)))  # zero steps
+    for bit in bin(span)[2:]:  # most significant first
+        total = then(total, total)
+        if bit == "1":
+            total = then(total, unit)
+    lift, cov = total
+    # rank 4 for span = 1, so Cholesky would fail there
+    vals, vecs = np.linalg.eigh(cov)
+    return lift, (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
 def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
                         n_samples: int, t_end: float, dt: float,
                         seed: int, t_burn: float = LANGEVIN_BURN_IN,
@@ -236,12 +274,13 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
     on n the input increment is dW_in = (T_in/2)·n + ξ with ξ
     independent of variance (T_loss²/4)·dτ, so the window sum of ξ is
     one Gaussian per trajectory. The chain is advanced in chunks of up
-    to 128 steps: given the state at the start of a chunk, its end
-    state and its window-sum increment are a fixed linear map of that
-    state plus a jointly Gaussian 8-vector, drawn through the symmetric
-    square root of its exact covariance. This samples exactly the law
-    of the step-by-step chain, with eight normals per trajectory and
-    chunk.
+    to LANGEVIN_CHUNK_STEPS steps: given the state at the start of a
+    chunk, its end state and its window-sum increment are a fixed
+    linear map of that state plus a jointly Gaussian 8-vector, drawn
+    through the symmetric square root of its exact covariance, which
+    ``_chunk_map`` builds by composing one-step maps (docs/derivation.md,
+    "Langevin sampler"). This samples exactly the law of the
+    step-by-step chain, with eight normals per trajectory and chunk.
 
     The normals are drawn for a block of chunks at once: each batch
     generator fills its own trajectory columns of a (chunks, 8, n)
@@ -258,6 +297,8 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
     """
     if n_samples < MIN_LANGEVIN_SAMPLES:
         raise ValueError("n_samples must be >= 1e3 for meaningful errors")
+    if not 0.0 <= intrinsic_fraction <= 1.0:
+        raise ValueError("intrinsic_fraction must lie in [0, 1]")
     _require_time("t_end", t_end)
     _require_time("dt", dt)
     if not 0.0 <= t_burn < t_end:
@@ -272,7 +313,6 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
         raise ValueError("M does not act on conjugate (δa, δa†) pairs")
     t_in = math.sqrt(2.0 * (1.0 - intrinsic_fraction))
     t_loss = math.sqrt(2.0 * intrinsic_fraction)
-    t_out = t_in
     n_burn = int(round(t_burn / dt))
     n_obs = int(round((t_end - t_burn) / dt))
     if n_obs <= 0:
@@ -286,29 +326,11 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
         per_batch[i] += 1
     edges = np.concatenate(([0], np.cumsum(per_batch)))
 
-    # lift[k] = [A^k ; t_out·dτ·Σ_{i<k} A^i] maps a chunk's start state
-    # to its end state and window-sum increment after k steps; the noise
-    # of step j of a k-step chunk enters through lift[k-1-j] - kick.
-    span_max = 128
     stepper = np.eye(4) + dt * m_real.real  # Euler one-step map A
-    powers = [np.eye(4)]
-    for _ in range(span_max):
-        powers.append(stepper @ powers[-1])
-    sums = np.cumsum([np.zeros((4, 4))] + powers[:-1], axis=0)
-    lift = np.concatenate((powers, (t_out * dt) * sums), axis=1)
-    kick = np.vstack((np.zeros((4, 4)), (t_in / 2.0) * np.eye(4)))
-    roots: dict[int, np.ndarray] = {}
-
-    def noise_root(span: int) -> np.ndarray:
-        gain = lift[:span] - kick
-        cov = (dt / 2.0) * np.einsum("kab,kcb->ac", gain, gain)
-        # rank 4 for span = 1, so Cholesky would fail there
-        vals, vecs = np.linalg.eigh(cov)
-        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-    chunks = [(min(span_max, steps - done), observe)
+    maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    chunks = [(min(LANGEVIN_CHUNK_STEPS, steps - done), observe)
               for steps, observe in ((n_burn, False), (n_obs, True))
-              for done in range(0, steps, span_max)]
+              for done in range(0, steps, LANGEVIN_CHUNK_STEPS)]
     block = max(1, NOISE_BLOCK_NORMALS // (8 * n_samples))
     normals = np.empty((min(block, len(chunks)), 8, n_samples))
     state = np.zeros((4, n_samples))
@@ -319,9 +341,10 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
             normals[:len(todo), :, edges[b]:edges[b + 1]] = g.standard_normal(
                 (len(todo), 8, per_batch[b]))
         for (span, observe), draw in zip(todo, normals):
-            if span not in roots:
-                roots[span] = noise_root(span)
-            step = lift[span] @ state + roots[span] @ draw
+            if span not in maps:
+                maps[span] = _chunk_map(stepper, dt, t_in, span)
+            lift, root = maps[span]
+            step = lift @ state + root @ draw
             state = step[:4]
             if observe:
                 out_sum += step[4:]

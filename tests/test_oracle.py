@@ -141,6 +141,15 @@ class TestFdJacobian:
             oracle.fd_jacobian(state, drive_of(0.3, 0.0, 0.0), h=1e-2)
 
 
+C = oracle.LANGEVIN_CHUNK_STEPS
+
+
+def _real_generator(m):
+    """M in the real coordinates (Re δa₋, Im δa₋, Re δa₊, Im δa₊)."""
+    pairs = np.kron(np.eye(2), [[1.0, 1.0j], [1.0, -1.0j]])
+    return np.linalg.solve(pairs, m @ pairs).real
+
+
 class TestLangevin:
     def test_vacuum_covariance(self):
         state = SteadyState(ap2=0.0, a2=0.0, phi=0.0, psi=0.0,
@@ -194,9 +203,15 @@ class TestLangevin:
         ({"t_end": math.nan}, "t_end"),
         ({"dt": math.inf}, "dt"),
         ({"dt": math.nan}, "dt"),
+        ({"intrinsic_fraction": math.nan}, "intrinsic_fraction"),
+        ({"intrinsic_fraction": math.inf}, "intrinsic_fraction"),
+        ({"intrinsic_fraction": 1.2}, "intrinsic_fraction"),
+        ({"intrinsic_fraction": -0.1}, "intrinsic_fraction"),
     ], ids=["one_batch", "more_batches_than_samples", "zero_dt",
             "negative_dt", "negative_burn", "unpaired_m", "infinite_t_end",
-            "nan_t_end", "infinite_dt", "nan_dt"])
+            "nan_t_end", "infinite_dt", "nan_dt", "nan_intrinsic",
+            "infinite_intrinsic", "intrinsic_above_one",
+            "negative_intrinsic"])
     def test_bad_input_rejected(self, kwargs, match):
         args = {"m": build_m(pump_only_branches(0.7, 0.4)[0], 0.4).m,
                 "intrinsic_fraction": 0.45, "n_samples": 1000,
@@ -204,12 +219,12 @@ class TestLangevin:
         with pytest.raises(ValueError, match=match):
             oracle.langevin_covariance(**{**args, **kwargs})
 
-    # burn 129 = 128 + 1 steps and window 300 = 2·128 + 44 steps, so a
-    # single-step chunk and a short remainder chunk both occur; in the
-    # 1 + 2 step case with a coarse step, one wrong step shows at full
-    # weight in both the noise and the state-driven part
+    # burn C + 1 steps and window 2·C + 44 steps (C the chunk length), so
+    # full chunks, a single-step chunk and a short remainder chunk all
+    # occur; in the 1 + 2 step case with a coarse step, one wrong step
+    # shows at full weight in both the noise and the state-driven part
     @pytest.mark.parametrize("dt, n_burn, n_obs",
-                             [(0.05, 129, 300), (0.5, 1, 2)])
+                             [(0.05, C + 1, 2 * C + 44), (0.5, 1, 2)])
     def test_samples_the_euler_chain_law(self, dt, n_burn, n_obs):
         s = pump_only_branches(1.0, 1.2)[0]
         sys_ = build_m(s, 1.1)
@@ -240,12 +255,10 @@ def _per_chunk_langevin(m, intrinsic_fraction, n_samples, t_end, dt, seed,
                         t_burn, n_batches):
     """The sampler with one draw per generator and chunk, as a reference.
 
-    Same chain, lift and noise roots as ``oracle.langevin_covariance``,
-    but every generator draws its (8, n_b) normals afresh for each
-    128-step chunk and the batches are joined with ``np.hstack``.
+    Same chain and chunk maps as ``oracle.langevin_covariance``, but
+    every generator draws its (8, n_b) normals afresh for each chunk and
+    the batches are joined with ``np.hstack``.
     """
-    pairs = np.kron(np.eye(2), [[1.0, 1.0j], [1.0, -1.0j]])
-    m_real = np.linalg.solve(pairs, m @ pairs).real
     t_in = math.sqrt(2.0 * (1.0 - intrinsic_fraction))
     t_loss = math.sqrt(2.0 * intrinsic_fraction)
     n_burn = int(round(t_burn / dt))
@@ -257,28 +270,17 @@ def _per_chunk_langevin(m, intrinsic_fraction, n_samples, t_end, dt, seed,
     for i in range(n_samples % n_batches):
         per_batch[i] += 1
     edges = np.concatenate(([0], np.cumsum(per_batch)))
-    stepper = np.eye(4) + dt * m_real
-    powers = [np.eye(4)]
-    for _ in range(128):
-        powers.append(stepper @ powers[-1])
-    sums = np.cumsum([np.zeros((4, 4))] + powers[:-1], axis=0)
-    lift = np.concatenate((powers, (t_in * dt) * sums), axis=1)
-    kick = np.vstack((np.zeros((4, 4)), (t_in / 2.0) * np.eye(4)))
-
-    def noise_root(span):
-        gain = lift[:span] - kick
-        cov = (dt / 2.0) * np.einsum("kab,kcb->ac", gain, gain)
-        vals, vecs = np.linalg.eigh(cov)
-        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    stepper = np.eye(4) + dt * _real_generator(m)
 
     state = np.zeros((4, n_samples))
     out_sum = np.zeros((4, n_samples))
     for phase_steps, observe in ((n_burn, False), (n_obs, True)):
-        for done in range(0, phase_steps, 128):
-            span = min(128, phase_steps - done)
+        for done in range(0, phase_steps, C):
+            lift, root = oracle._chunk_map(stepper, dt, t_in,
+                                           min(C, phase_steps - done))
             normals = np.hstack([g.standard_normal((8, n))
                                  for g, n in zip(gens, per_batch)])
-            step = lift[span] @ state + noise_root(span) @ normals
+            step = lift @ state + root @ normals
             state = step[:4]
             if observe:
                 out_sum += step[4:]
@@ -297,13 +299,13 @@ def _per_chunk_langevin(m, intrinsic_fraction, n_samples, t_end, dt, seed,
 
 class TestLangevinBlockDraw:
     # a block holds NOISE_BLOCK_NORMALS // (8·n_samples) chunks of up to
-    # 128 steps: 8 chunks at 1000 samples, 1 chunk from 8193 samples on
+    # C steps: 8 chunks at 1000 samples, 1 chunk from 8193 samples on
     @pytest.mark.parametrize("n_samples, n_batches, dt, n_burn, n_obs", [
-        (1001, 50, 1 / 16, 129, 300),
-        (1000, 25, 1 / 16, 5 * 128, 6 * 128),
+        (1001, 50, 1 / 16, C + 1, 2 * C + 44),
+        (1000, 25, 1 / 16, 5 * C, 6 * C),
         (1000, 25, 0.5, 1, 2),
-        (1000, 7, 1 / 16, 3 * 128 + 5, 2 * 128),
-        (9000, 3, 1 / 16, 129, 44),
+        (1000, 7, 1 / 16, 3 * C + 5, 2 * C),
+        (9000, 3, 1 / 16, C + 1, 44),
     ], ids=["uneven_batches", "final_partial_block", "single_step_chunks",
             "block_spans_burn_in", "one_chunk_per_block"])
     def test_same_stream_as_per_chunk_draws(self, n_samples, n_batches, dt,
@@ -315,6 +317,33 @@ class TestLangevinBlockDraw:
         ref_cov, ref_se = _per_chunk_langevin(*args)
         assert np.array_equal(cov, ref_cov)
         assert np.array_equal(se, ref_se)
+
+
+class TestChunkMap:
+    # two of criterion 7's points; spans around one chunk and well past it
+    @pytest.mark.parametrize("f, dtp, dtl", [(1.0, 1.2, 1.1),
+                                             (1.3, 1.7, 1.72)])
+    @pytest.mark.parametrize("dt", [0.01, 0.05])
+    def test_matches_one_step_recursion(self, f, dtp, dtl, dt):
+        state = [s for s in pump_only_branches(f, dtp) if s.stable][0]
+        stepper = np.eye(4) + dt * _real_generator(build_m(state, dtl).m)
+        t_in = math.sqrt(2.0 * (1.0 - 0.45))
+        eye, zero = np.eye(4), np.zeros((4, 4))
+        gain = np.vstack((eye, -(t_in / 2.0) * eye))
+        # one step: (δA, window sum) ↦ [[A, 0], [T_out·dτ·I, I]]·(δA, sum)
+        # plus noise of covariance (dτ/2)·g·gᵀ
+        step = np.block([[stepper, zero], [(t_in * dt) * eye, eye]])
+        lift, cov = np.vstack((eye, zero)), np.zeros((8, 8))
+        spans = {1, 2, 3, C - 1, C, C + 1, 5000}
+        for k in range(1, max(spans) + 1):
+            lift = step @ lift
+            cov = step @ cov @ step.T + (dt / 2.0) * gain @ gain.T
+            if k in spans:
+                got_lift, root = oracle._chunk_map(stepper, dt, t_in, k)
+                assert (np.max(np.abs(got_lift - lift))
+                        <= 1e-12 * np.max(np.abs(lift)))
+                assert (np.max(np.abs(root @ root.T - cov))
+                        <= 1e-12 * np.max(np.abs(cov)))
 
 
 class TestBruteForceDuan:
