@@ -513,8 +513,11 @@ def _reproduce_fig6(args, cfg: RunConfig, out: Path) -> list[Path]:
             op = phases.operating_state(drive, fam.intrinsic_fraction)
             point = phases.classify_state(
                 op, omega=args.omega, epsilon_ne=cfg.tolerances.epsilon_ne)
-            a2_mean = max((s.a2 for s in steady.parametric_branch(
-                drive.f_norm, drive.dtp, drive.dtl)), default=0.0)
+            # operating_state searched unless MI was already settled
+            found = (op.parametric if op.parametric or not op.is_mi
+                     else steady.parametric_branch(drive.f_norm, drive.dtp,
+                                                   drive.dtl))
+            a2_mean = max((s.a2 for s in found), default=0.0)
             try:  # the population reads only M, which η does not enter
                 pair_photons = fluct.intracavity_pair_photons(
                     fluct.build_m(op.state, op.dtl))

@@ -290,6 +290,10 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
     so every generator yields the same numbers in the same places as
     one draw per chunk, and the result is bitwise unchanged.
 
+    Raises UnstableError unless M is Hurwitz, and ValueError when the
+    Euler map I + dτ·M is not a contraction, max |1 + dτ·λ| ≥ 1 over
+    M's eigenvalues λ, where the chain would diverge.
+
     Returns (covariance, standard_errors), both 4×4, from batch means
     over ``n_batches`` trajectory groups. Deterministic for a given
     seed; batch seeds are spawned up front so the result does not depend
@@ -305,8 +309,12 @@ def langevin_covariance(m: np.ndarray, intrinsic_fraction: float,
         raise ValueError("need 0 <= t_burn < t_end")
     if not 2 <= n_batches <= n_samples:
         raise ValueError("n_batches must lie between 2 and n_samples")
-    if np.max(np.linalg.eigvals(m).real) >= 0.0:
+    lam = np.linalg.eigvals(m)
+    if np.max(lam.real) >= 0.0:
         raise UnstableError("M is not Hurwitz")
+    if np.max(np.abs(1.0 + dt * lam)) >= 1.0:
+        raise ValueError(f"dt = {dt!r} is past the Euler stability limit: "
+                         "I + dt*M is not a contraction")
     pairs = np.kron(np.eye(2), [[1.0, 1.0j], [1.0, -1.0j]])  # W: r -> δA
     m_real = np.linalg.solve(pairs, m @ pairs)
     if np.max(np.abs(m_real.imag)) > 1e-12 * max(1.0, np.max(np.abs(m))):

@@ -25,7 +25,10 @@ The drive curve F²(x) along the pair line depends on (Δ̃_p, Δ̃_L) alone.
 parametric_branch samples it once per (sign, interval, Δ̃_p, Δ̃_L) and
 shares that scan between calls, so the threshold search, and the
 amplitude cells of a sweep row, scan each branch once whenever F does
-not cap the interval.
+not cap the interval. Each cached scan also carries the range of F² its
+y > 0 steps can bracket; a branch whose range excludes F² skips the
+bracket search, which on such a branch finds nothing (docs/derivation.md,
+"Steady states").
 
 Since a₋ = a₊ on every parametric state, the three-mode linearization
 splits exactly under the signal/idler exchange. The antisymmetric pair
@@ -309,21 +312,31 @@ def _branch_drive_curve(xs: np.ndarray | float, sign: float, dtp: float,
 
 
 @functools.lru_cache(maxsize=8)  # ~20 KB per entry
-def _branch_scan(sign: float, a: float, b: float, dtp: float,
-                 dtl: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sweep of one sign branch on [a, b]: x, F² and the y > 0 steps.
+def _branch_scan(sign: float, a: float, b: float, dtp: float, dtl: float,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sweep of one sign branch on [a, b]: x, F², the y > 0 steps
+    and the F² range those steps can bracket.
 
     The third array marks the steps whose both ends have y > 0. The
-    scan does not depend on F beyond the interval cap, so calls at one
-    (Δ̃_p, Δ̃_L) share it; the arrays are read-only.
+    fourth is (f_lo, f_hi): the least and the greatest F² sample at the
+    ends of those steps, NaN samples left out, or (inf, −inf) when there
+    are none. A bracket at step i has F² between its two samples, so no
+    F² outside [f_lo, f_hi] has one. The scan does not depend on F
+    beyond the interval cap, so calls at one (Δ̃_p, Δ̃_L) share it; the
+    arrays are read-only.
     """
     xs = np.linspace(a, b, _SCAN_POINTS)
     ys, curve = _branch_drive_curve(xs, sign, dtp, dtl)
     pos = ys > 0.0
     pair = pos[:-1] & pos[1:]
-    for arr in (xs, curve, pair):
+    f_range = np.array([
+        np.fmin.reduce(np.fmin(curve[:-1], curve[1:]), where=pair,
+                       initial=math.inf),
+        np.fmax.reduce(np.fmax(curve[:-1], curve[1:]), where=pair,
+                       initial=-math.inf)])
+    for arr in (xs, curve, pair, f_range):
         arr.flags.writeable = False
-    return xs, curve, pair
+    return xs, curve, pair, f_range
 
 
 def parametric_branch(f_norm: float, dtp: float,
@@ -334,10 +347,12 @@ def parametric_branch(f_norm: float, dtp: float,
     both square-root branches; crossings of the drive equation are
     bracketed on the sweep and Newton polished; a polish that does not
     converge raises NoConvergenceError. The sweep is shared per (sign,
-    interval, Δ̃_p, Δ̃_L): F enters it only through the interval cap. A
-    root is stable when u < 0 and its exchange-symmetric block is
-    Hurwitz; the antisymmetric sector, free phase split included, is
-    {0, −2} for every root.
+    interval, Δ̃_p, Δ̃_L): F enters it only through the interval cap.
+    Each cached sweep carries the F² range its y > 0 steps can bracket,
+    and a branch whose range excludes F² is not searched. A root is
+    stable when u < 0 and its exchange-symmetric block is Hurwitz; the
+    antisymmetric sector, free phase split included, is {0, −2} for
+    every root.
     """
     if f_norm <= 0:
         return []
@@ -361,7 +376,9 @@ def parametric_branch(f_norm: float, dtp: float,
     for sign, a, b in intervals:
         if not b > a:
             continue
-        xs, curve, pair = _branch_scan(sign, a, b, dtp, dtl)
+        xs, curve, pair, (f_lo, f_hi) = _branch_scan(sign, a, b, dtp, dtl)
+        if not f_lo <= f_sq <= f_hi:
+            continue  # no step can bracket F², a NaN F² included
         resid = curve - f_sq
         brackets = pair & (
             (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))

@@ -17,7 +17,7 @@ from kerrcomb.config import (
     load_config,
     serialize_config,
 )
-from kerrcomb.model import NormalizedDrive
+from kerrcomb.model import NormalizedDrive, OperatingPoint, normalize
 
 from helpers import config_at_order
 
@@ -117,6 +117,16 @@ class TestCli:
                      "--dtl", "3", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "computation error: UnstableError" in capsys.readouterr().err
+
+    def test_langevin_step_past_euler_limit_exit_code(self, tmp_path, capsys):
+        # |1 + 2.5·λ| = 2.8 at M's eigenvalue −1.53: the chain would diverge
+        code = main(["oracle", "langevin", "--f-norm", "1.0", "--dtp", "1.2",
+                     "--dtl", "1.1", "--t-end", "400", "--dt", "2.5",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ValueError: dt = 2.5 ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, problem", [
         (["steady"], "provide --family"),
@@ -675,6 +685,41 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 5 * 5
         assert len(set(calls)) == len(calls)
+
+    # operating_state searches at every one-root drive, which covers all
+    # 192 points of the default fine scans; on the high-amplitude axis 4
+    # points have three roots, and only there does fig6 search itself
+    @pytest.mark.parametrize("axes, searches", [
+        ([], 0), (["--grid", "16", "--amp-min", "2e7", "--amp-max", "6e7"], 4),
+    ], ids=["default", "multi_root_points"])
+    def test_fig6_searches_only_where_operating_state_did_not(
+            self, tmp_path, monkeypatch, cfg, axes, searches):
+        calls = []
+        real = steady.parametric_branch
+
+        def counted(f_norm, dtp, dtl):
+            calls.append((f_norm, dtp, dtl))
+            return real(f_norm, dtp, dtl)
+
+        monkeypatch.setattr(steady, "parametric_branch", counted)
+        out = tmp_path / "o"
+        assert main(["reproduce", "fig6", *axes, "--out", str(out)]) == 0
+        assert len(calls) == searches
+        # every row's pair power is that of a fresh search at its drive
+        rows = 0
+        for label in ("TE00", "TE10", "TM10"):
+            fam = cfg.resonator.family(label)
+            lines = (out / f"fig6_{label}.csv").read_text().splitlines()
+            for line in lines[1:]:
+                delta, a_pin, _, a2_mean = line.split(",")[:4]
+                drive = normalize(OperatingPoint(
+                    family=fam, L=1, delta_p0=float(delta),
+                    a_pin=float(a_pin)))
+                found = real(drive.f_norm, drive.dtp, drive.dtl)
+                assert float(a2_mean) == max((s.a2 for s in found),
+                                             default=0.0)
+                rows += 1
+        assert rows == 3 * (int(axes[1]) if axes else 64)
 
     def test_config_truncation_order_applied_at_load(self, tmp_path):
         # load_config zeroes d_n past the order, so no sweep, table or

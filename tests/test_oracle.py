@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -191,6 +192,22 @@ class TestLangevin:
         m = np.diag([0.1 + 0j, -1.0, -1.0, -1.0])
         with pytest.raises(oracle.UnstableError):
             oracle.langevin_covariance(m, 0.45, 1000, 100.0, 0.01, seed=1)
+
+    def test_step_past_euler_limit_rejected(self):
+        # criterion 7's point: M has eigenvalues −1.53 and −0.47, so the
+        # Euler map I + dt·M contracts only for dt < 2/1.53
+        m = build_m(pump_only_branches(1.0, 1.2)[0], 1.1).m
+        lam = np.linalg.eigvals(m)
+        limit = float(np.min(-2.0 * lam.real / np.abs(lam) ** 2))
+        assert limit == pytest.approx(2.0 / 1.5317, rel=1e-4)
+        for dt in (2.5, limit * (1.0 + 1e-9)):
+            with pytest.raises(ValueError, match=re.escape(f"dt = {dt!r} ")):
+                oracle.langevin_covariance(m, 0.45, 1000, 100.0, dt, seed=1,
+                                           t_burn=10.0)
+        cov, se = oracle.langevin_covariance(m, 0.45, 1000, 100.0,
+                                             limit * (1.0 - 1e-9), seed=1,
+                                             t_burn=10.0)
+        assert np.all(np.isfinite(cov)) and np.all(np.isfinite(se))
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"n_batches": 1}, "n_batches"),

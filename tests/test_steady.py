@@ -313,6 +313,114 @@ class TestParametric:
                 arr[0] = arr[1]
 
 
+def _outcome(drive) -> str:
+    """parametric_branch at ``drive``: its roots' repr, or what it raised."""
+    try:
+        return repr(parametric_branch(*drive))
+    except steady.NoConvergenceError as exc:
+        return f"NoConvergenceError: {exc}"
+
+
+def _with_and_without_range(monkeypatch, drive):
+    """The outcome at ``drive`` as it is, and with every cached F² range
+    widened to all F², so each branch goes on to the bracket search over
+    the same scan arrays; and {(sign, a, b): (f_lo, f_hi)} of the scans
+    it read."""
+    scan = steady._branch_scan
+    ranges = {}
+
+    def widened(*args):
+        xs, curve, pair, f_range = scan(*args)
+        ranges[args[:3]] = tuple(f_range)
+        return xs, curve, pair, np.array([-math.inf, math.inf])
+
+    checked = _outcome(drive)
+    with monkeypatch.context() as patch:
+        patch.setattr(steady, "_branch_scan", widened)
+        unchecked = _outcome(drive)
+    return checked, unchecked, ranges
+
+
+def _root_of(f_sq: float) -> float | None:
+    """An F whose square is exactly ``f_sq``, if a float near √f_sq has one."""
+    f = math.sqrt(f_sq)
+    for _ in range(4):
+        f = math.nextafter(f, 0.0)
+    for _ in range(9):
+        if f * f == f_sq:
+            return f
+        f = math.nextafter(f, math.inf)
+    return None
+
+
+class TestScanRange:
+    """A branch whose scan cannot bracket F² skips the bracket search."""
+
+    @staticmethod
+    def _drives(rng, rows, per_row):
+        # F in [0.3, 4] caps the scan interval at F² + 1 on some drives
+        # and leaves it at the y > 0 edge on others
+        drives = [(float(f), float(dtp), float(dtl))
+                  for dtp, dtl in zip(rng.uniform(-1, 6, rows),
+                                      rng.uniform(1.75, 7, rows))
+                  for f in rng.uniform(0.3, 4.0, per_row)]
+        capped = [f * f + 1.0 < (2.0 * dtl + math.sqrt(dtl * dtl - 3.0)) / 3.0
+                  for f, dtp, dtl in drives if dtl > SQRT3]
+        assert any(capped) and not all(capped)
+        return drives
+
+    def test_skips_only_what_has_no_bracket(self, rng, monkeypatch):
+        skipped = found = 0
+        for drive in self._drives(rng, 40, 10):
+            checked, unchecked, ranges = _with_and_without_range(
+                monkeypatch, drive)
+            assert checked == unchecked, drive
+            f_sq = drive[0] * drive[0]
+            skipped += any(not lo <= f_sq <= hi for lo, hi in ranges.values())
+            found += checked != "[]"
+        assert skipped > 100 and found > 50
+
+    def test_nan_drive_skips(self, monkeypatch):
+        checked, unchecked, ranges = _with_and_without_range(
+            monkeypatch, (math.nan, 2.4, 2.4))
+        assert checked == unchecked == "[]" and ranges
+
+    def test_range_ends_are_searched(self, rng, monkeypatch):
+        # F² exactly at either end can be a sample, hence a bracket; one
+        # float past it cannot. Ends whose F would move the interval cap
+        # belong to another scan and are left out.
+        kinds = {"lo": (0, 0.0), "hi": (1, 0.0),
+                 "below_lo": (0, -math.inf), "above_hi": (1, math.inf)}
+        seen = dict.fromkeys(kinds, 0)
+        bracketed = dict.fromkeys(kinds, 0)
+        for f0, dtp, dtl in self._drives(rng, 30, 4):
+            _, _, ranges = _with_and_without_range(monkeypatch,
+                                                   (f0, dtp, dtl))
+            for key, f_range in ranges.items():
+                if not f_range[0] <= f_range[1]:
+                    continue  # no y > 0 step on this branch
+                for kind, (end, away) in kinds.items():
+                    f_sq = f_range[end]
+                    if away:
+                        f_sq = math.nextafter(f_sq, away)
+                    f = _root_of(f_sq)
+                    if f is None:
+                        continue
+                    checked, unchecked, read = _with_and_without_range(
+                        monkeypatch, (f, dtp, dtl))
+                    if read.get(key) != f_range:
+                        continue
+                    assert checked == unchecked, (kind, f, dtp, dtl)
+                    _, curve, pair, _ = steady._branch_scan(*key, dtp, dtl)
+                    resid = curve - f * f
+                    seen[kind] += 1
+                    bracketed[kind] += bool(np.any(pair & (
+                        (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))))
+        assert min(seen.values()) >= 10, seen
+        assert bracketed["lo"] > 0 and bracketed["hi"] > 0, bracketed
+        assert bracketed["below_lo"] == bracketed["above_hi"] == 0, bracketed
+
+
 # threshold points whose downward walk outlasted its first 60 steps
 WALK_PAST_60 = [(0.7949472382883835, 1.9986713558945053),
                 (1.074526827828275, 1.9998911515654514),
