@@ -276,9 +276,12 @@ def _cmd_duan(args, cfg: RunConfig, out: Path) -> list[Path]:
         op = phases.operating_state(*_operating_point(args, cfg))
         result = op.witness(args.omega)
         phase = op.phase(result.c_min, cfg.tolerances.epsilon_ne).value
+    # on MI the below-threshold witness does not apply (the sweep writes
+    # c_min = NaN there), so its value claims no entanglement
+    entangled = None if phase == phases.Phase.MI.value else result.entangled
     payload = {"c_min": result.c_min, "theta_plus": result.theta_plus,
                "theta_minus": result.theta_minus,
-               "entangled": result.entangled, "phase": phase}
+               "entangled": entangled, "phase": phase}
     return [_write_json(out, "duan.json", payload)]
 
 

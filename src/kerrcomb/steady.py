@@ -65,7 +65,7 @@ _RESIDUAL_TOL = 1e-9
 _STEP_TOL = 1e-12
 _MAX_ITER = 100
 _SCAN_POINTS = 1200  # samples per square-root branch in parametric_branch
-_THRESHOLD_F_MAX = 20.0  # threshold reports exists = False above this F
+_THRESHOLD_F_SQ_MAX = 400.0  # threshold reports exists = False above F = 20
 _THRESHOLD_SCAN_POINTS = 20000
 
 
@@ -291,24 +291,72 @@ def _bisect(lo: float, hi: float, steps: int,
     return lo, hi
 
 
-def _branch_drive_curve(xs: np.ndarray | float, sign: float, dtp: float,
-                        dtl: float, root: np.ndarray | float | None = None,
-                        ) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """(y, F²) along one sign branch of the gain-balance line.
+def _pair_power(xs: np.ndarray, sign: float, dtl: float,
+                root: np.ndarray | None = None) -> np.ndarray:
+    """y along one sign branch of the gain-balance line, at xs.
 
     ``root`` is √(x² − 1) at xs, for a caller that shares it between
-    the two signs. A Python float runs through ``math`` with the same
-    arithmetic in the same order as an array, so both give the same bits.
+    the two signs.
     """
     if root is None:
-        if isinstance(xs, np.ndarray):
-            root = np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
+        root = np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
+    ys = dtl - 2.0 * xs
+    ys -= sign * root
+    ys /= 3.0
+    return ys
+
+
+def _drive_sq(xs: np.ndarray, ys: np.ndarray, dtp: float,
+              dtl: float) -> np.ndarray:
+    """F² at the points (x, y) of the gain-balance line, elementwise.
+
+    With t = 2y/x, F² = x(g² + h²) for g = 1 + t and
+    h = Δ̃_p − x − t(Δ̃_L − 3y). The steps run in place, so that few
+    arrays the size of threshold's 20,000-point grid are alive at once
+    (each fresh one is paged in anew). _bracket_root computes the same
+    operations on floats in the same order, up to swapped operands of
+    + and ×, so both give the same bits.
+    """
+    t = 2.0 * ys
+    t /= xs
+    h = dtl - 3.0 * ys
+    h *= t
+    np.subtract(dtp - xs, h, out=h)
+    t += 1.0
+    t *= t
+    h *= h
+    t += h
+    t *= xs
+    return t
+
+
+def _bracket_root(lo: float, hi: float, side: float, f_sq: float,
+                  sign: float, dtp: float, dtl: float) -> tuple[float, float]:
+    """(x₀, y at x₀) for the scan step [lo, hi] that brackets F² = f_sq.
+
+    ``side`` is the step's left residual F²(lo) − f_sq, and a midpoint
+    moves lo while (F²(mid) − f_sq)·side > 0, else hi. The loop is
+    _bisect with 60 steps over _pair_power and _drive_sq on floats,
+    inlined: it stops at the first step that changes neither end, and
+    x₀ is the midpoint of the final [lo, hi].
+    """
+    for step in range(61):
+        x = 0.5 * (lo + hi)
+        y = (dtl - 2.0 * x - sign * math.sqrt(max(x * x - 1.0, 0.0))) / 3.0
+        if step == 60:
+            break
+        t = 2.0 * y / x
+        g = 1.0 + t
+        h = dtp - x - t * (dtl - 3.0 * y)
+        if (x * (g * g + h * h) - f_sq) * side > 0.0:
+            if x == lo:
+                break
+            lo = x
+        elif x == hi:
+            break
         else:
-            root = math.sqrt(max(xs * xs - 1.0, 0.0))
-    ys = (dtl - 2.0 * xs - sign * root) / 3.0
-    g = 1.0 + 2.0 * ys / xs
-    h = dtp - xs - (2.0 * ys / xs) * (dtl - 3.0 * ys)
-    return ys, xs * (g * g + h * h)
+            hi = x
+    return x, y
 
 
 @functools.lru_cache(maxsize=8)  # ~20 KB per entry
@@ -326,7 +374,8 @@ def _branch_scan(sign: float, a: float, b: float, dtp: float, dtl: float,
     arrays are read-only.
     """
     xs = np.linspace(a, b, _SCAN_POINTS)
-    ys, curve = _branch_drive_curve(xs, sign, dtp, dtl)
+    ys = _pair_power(xs, sign, dtl)
+    curve = _drive_sq(xs, ys, dtp, dtl)
     pos = ys > 0.0
     pair = pos[:-1] & pos[1:]
     f_range = np.array([
@@ -384,13 +433,8 @@ def parametric_branch(f_norm: float, dtp: float,
             (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))
         for i in np.flatnonzero(brackets):
             # bisect the bracket on this branch, then polish in 2-D
-            side = float(resid[i])
-            lo, hi = _bisect(
-                float(xs[i]), float(xs[i + 1]), 60,
-                lambda x: (_branch_drive_curve(x, sign, dtp, dtl)[1]
-                           - f_sq) * side > 0.0)
-            x0 = 0.5 * (lo + hi)
-            y0 = _branch_drive_curve(x0, sign, dtp, dtl)[0]
+            x0, y0 = _bracket_root(float(xs[i]), float(xs[i + 1]),
+                                   float(resid[i]), f_sq, sign, dtp, dtl)
             if y0 <= 0.0:
                 continue
             x, y = _polish_pair(x0, y0, f_norm, dtp, dtl)
@@ -420,31 +464,49 @@ def parametric_branch(f_norm: float, dtp: float,
     return states
 
 
-def threshold(dtp: float, dtl: float) -> ThresholdReport:
-    """Lowest drive F at which a parametric solution appears.
+def _least_drive_sq(dtp: float, dtl: float) -> float:
+    """Least positive F² over the y > 0 samples of both sign branches on
+    threshold's x grid, or inf when there is none; needs dtl > √3.
 
-    The drive equation along the gain-balance line gives the attainable
-    F² values directly, so the scan walks that curve (which never misses
-    narrow existence windows, unlike probing F blindly), brackets its
-    minimum, and a bisection on actual parametric_branch existence
-    sharpens the edge. Reports exists = False when nothing oscillates up
-    to F = 20.
+    F² is evaluated only where y > 0. Elementwise arithmetic gives the
+    same bits on a subset, so this is the minimum over the full grid
+    with the y ≤ 0 samples masked out.
     """
-    if dtl <= math.sqrt(3.0):
-        return ThresholdReport(f_threshold=math.nan, exists=False)
     # y > 0 confines x between the roots of 3x² − 4·dtl·x + dtl² + 1
     x_top = (2.0 * dtl + math.sqrt(dtl * dtl - 3.0)) / 3.0
-    f_max_sq = _THRESHOLD_F_MAX * _THRESHOLD_F_MAX
-    xs = np.linspace(1.0, min(x_top + 1.0, f_max_sq + 1.0),
+    xs = np.linspace(1.0, min(x_top, _THRESHOLD_F_SQ_MAX) + 1.0,
                      _THRESHOLD_SCAN_POINTS)
     root = np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
     best = math.inf
     for sign in (+1.0, -1.0):
-        ys, f_sq = _branch_drive_curve(xs, sign, dtp, dtl, root)
-        ok = (ys > 0.0) & (f_sq > 0.0)
-        if ok.any():
-            best = min(best, float(np.min(f_sq[ok])))
-    if not math.isfinite(best) or best > f_max_sq:
+        ys = _pair_power(xs, sign, dtl, root)
+        pos = ys > 0.0
+        f_sq = _drive_sq(xs[pos], ys[pos], dtp, dtl)
+        f_sq = f_sq[f_sq > 0.0]  # NaN fails the test too
+        if f_sq.size:
+            best = min(best, float(np.min(f_sq)))
+    return best
+
+
+def threshold(dtp: float, dtl: float) -> ThresholdReport:
+    """Lowest drive F at which parametric_branch finds a root.
+
+    The drive equation along the gain-balance line gives the attainable
+    F² values directly. The search takes the least of them on a
+    20,000-point x grid, probes just above it for a root, walks down
+    until there is none, and bisects that edge on parametric_branch
+    existence. The grid can step over a narrow existence window, and
+    parametric_branch's own scan over a narrow bracket, so the result
+    need not be the exact minimum of the drive curve, and a point can
+    report exists = False though a window opens below F = 20. What
+    holds is this: the returned F is a float at which parametric_branch
+    finds a root, and at the float just below it finds none. Reports
+    exists = False when no root is found up to F = 20.
+    """
+    if dtl <= math.sqrt(3.0):
+        return ThresholdReport(f_threshold=math.nan, exists=False)
+    best = _least_drive_sq(dtp, dtl)
+    if not math.isfinite(best) or best > _THRESHOLD_F_SQ_MAX:
         return ThresholdReport(f_threshold=math.nan, exists=False)
 
     def exists_at(f: float) -> bool:

@@ -1,0 +1,147 @@
+"""Mutation catalogue: small code changes the test suite must catch.
+
+Each entry names a file, an exact snippet ``old`` that occurs once in
+it, its replacement ``new``, and the test node ids that must fail once
+``old`` is replaced. tests/test_mutants.py checks in Tier-1 that every
+``old`` still occurs exactly once and that every test id exists, so a
+change that moves guarded code must move its mutant too.
+
+Running the mutants is opt-in and takes seconds per mutant:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named ones
+
+For each mutant the runner copies src/ to a temporary directory, applies
+the mutation there, and runs only the mutant's tests against the copy
+with ``pytest -x``. A mutant whose tests fail is killed; one whose tests
+pass survives. The runner exits 1 if any mutant survives and 2 if a run
+could not be judged (pytest neither passed nor failed, say an unknown
+test id).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root, under src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the root
+
+
+_STEADY = "src/kerrcomb/steady.py"
+
+MUTANTS = (
+    # the bracket search moves lo on a zero product: a step whose left
+    # sample equals F² then converges to its right end
+    Mutant("bracket-keeps-lo-at-zero", _STEADY,
+           old="        if (x * (g * g + h * h) - f_sq) * side > 0.0:\n",
+           new="        if (x * (g * g + h * h) - f_sq) * side >= 0.0:\n",
+           tests=("tests/test_steady.py::TestBracketRoot::"
+                  "test_matches_array_bisection",)),
+    # the bracket search probes all 60 steps: same result, more probes
+    Mutant("bracket-no-repeat-stop", _STEADY,
+           old="            if x == lo:\n                break\n"
+               "            lo = x\n        elif x == hi:\n"
+               "            break\n        else:\n            hi = x\n",
+           new="            lo = x\n        else:\n            hi = x\n",
+           tests=("tests/test_steady.py::TestBracketRoot::"
+                  "test_stops_when_it_repeats",)),
+    # threshold's curve minimum takes samples with y = 0, which lie on
+    # the pump-only cubic and not on a parametric state
+    Mutant("threshold-minimum-takes-y-zero", _STEADY,
+           old="        pos = ys > 0.0\n        f_sq = _drive_sq(",
+           new="        pos = ys >= 0.0\n        f_sq = _drive_sq(",
+           tests=("tests/test_steady.py::TestThresholdMinimum::"
+                  "test_y_positive_subset_changes_no_bit",)),
+    # the cached F² range drops its lower end, where a bracket can sit
+    Mutant("scan-range-open-below", _STEADY,
+           old="if not f_lo <= f_sq <= f_hi:",
+           new="if not f_lo < f_sq <= f_hi:",
+           tests=("tests/test_steady.py::TestScanRange::"
+                  "test_range_ends_are_searched",)),
+    # every parametric root is called stable
+    Mutant("every-parametric-root-stable", _STEADY,
+           old="        stable = u < 0.0 and bool(",
+           new="        stable = True or bool(",
+           tests=("tests/test_time_domain.py::"
+                  "test_parametric_roots_are_fixed_points_and_stable_ones_"
+                  "return",)),
+    # a weakly unstable pump-only cell is classified by its witness
+    Mutant("mi-margin", "src/kerrcomb/phases.py",
+           old="                or self.max_eig_re >= 0.0)",
+           new="                or self.max_eig_re >= 0.01)",
+           tests=("tests/test_unstable_half.py::"
+                  "test_frozen_grids_hold_the_unstable_cells",
+                  "tests/test_time_domain.py::"
+                  "test_unstable_cells_grow_at_the_closed_form_rate")),
+    # the closed-form pump-only growth rate off by 0.1 %
+    Mutant("pump-rate-scaled", "src/kerrcomb/phases.py",
+           old="    return -1.0 + math.sqrt(d) if d >= 0.0 else -1.0",
+           new="    return -1.0 + 1.001 * math.sqrt(d) if d >= 0.0 else -1.0",
+           tests=("tests/test_time_domain.py::"
+                  "test_unstable_cells_grow_at_the_closed_form_rate",)),
+    # the Langevin chunk map feeds the input noise back with the wrong sign
+    Mutant("langevin-gain-sign", "src/kerrcomb/oracle.py",
+           old="    gain = np.vstack((eye, -(t_in / 2.0) * eye))",
+           new="    gain = np.vstack((eye, (t_in / 2.0) * eye))",
+           tests=("tests/test_oracle.py::TestChunkMap::"
+                  "test_matches_one_step_recursion",)),
+    # argparse's prefix matching back on: `--om` would read as --omega
+    Mutant("cli-flag-prefixes", "src/kerrcomb/cli.py",
+           old="allow_abbrev=False",
+           new="allow_abbrev=True",
+           tests=("tests/test_config_cli.py::TestCli::"
+                  "test_no_leaf_takes_a_flag_prefix",)),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'error: ...' for one mutant."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(ROOT / "src", Path(tmp) / "src")
+        target = Path(tmp) / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return f"error: old snippet occurs {text.count(mutant.old)} times"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(tmp) / "src"),
+                          os.environ.get("PYTHONPATH")])))
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q",
+             "-p", "no:cacheprovider", *mutant.tests],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL).returncode
+    return {0: "survived", 1: "killed"}.get(code, f"error: pytest exit {code}")
+
+
+def main(names: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in by_name]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    results = {}
+    for mutant in [by_name[n] for n in names] or MUTANTS:
+        results[mutant.name] = run(mutant)
+        print(f"{results[mutant.name]:10s} {mutant.name}", flush=True)
+    if any(r.startswith("error") for r in results.values()):
+        return 2
+    return int("survived" in results.values())
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -588,6 +588,16 @@ class TestCli:
         drive = NormalizedDrive(f_norm=1.5, dtp=2.2, dtl=2.2)
         assert phases.classify_drive(drive).phase is phases.Phase.MI
 
+    def test_duan_claims_no_entanglement_on_mi(self, tmp_path):
+        # bistable: three pump-only roots, with a negative witness value
+        code = main(["duan", "--f-norm", "2.0", "--dtp", "3.0", "--dtl",
+                     "3.0", "--out", str(tmp_path / "o")])
+        assert code == 0
+        data = json.loads((tmp_path / "o" / "duan.json").read_text())
+        assert data["phase"] == "MI"
+        assert data["entangled"] is None
+        assert data["c_min"] < -0.2
+
     def test_spectrum_payload(self, tmp_path):
         code = main(["spectrum", "--family", "TE00", "--detuning-ghz", "0.2",
                      "--apin-v-per-m", "5e6", "--out", str(tmp_path / "o")])

@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -419,6 +420,122 @@ class TestScanRange:
         assert min(seen.values()) >= 10, seen
         assert bracketed["lo"] > 0 and bracketed["hi"] > 0, bracketed
         assert bracketed["below_lo"] == bracketed["above_hi"] == 0, bracketed
+
+
+def _curve(xs: np.ndarray, sign: float, dtp: float, dtl: float):
+    """(y, F²) of the array formulas at xs."""
+    ys = steady._pair_power(xs, sign, dtl)
+    return ys, steady._drive_sq(xs, ys, dtp, dtl)
+
+
+def _array_bisection(lo, hi, side, f_sq, sign, dtp, dtl):
+    """The bracket search on _bisect, each probe a one-element array:
+    (x₀, y at x₀) and the number of probes."""
+    probes = []
+
+    def keeps_lo(x):
+        probes.append(x)
+        c = _curve(np.array([x]), sign, dtp, dtl)[1][0]
+        return (c - f_sq) * side > 0.0
+
+    lo, hi = steady._bisect(lo, hi, 60, keeps_lo)
+    x0 = 0.5 * (lo + hi)
+    y0 = float(_curve(np.array([x0]), sign, dtp, dtl)[0][0])
+    return (x0, y0), len(probes)
+
+
+@pytest.fixture(scope="module")
+def brackets():
+    """(lo, hi, side, f_sq, sign, dtp, dtl, capped) for bracketing steps
+    of the scans parametric_branch reads at seeded drives. Each scan is
+    cut at the drive's F², at an F² drawn from its bracketable range,
+    and at one of its own y > 0 samples, whose step then has side 0."""
+    rng = np.random.default_rng(20260808)
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        for f, dtp, dtl in TestScanRange._drives(rng, 30, 4):
+            _, _, ranges = _with_and_without_range(patch, (f, dtp, dtl))
+            for (sign, a, b), (f_lo, f_hi) in ranges.items():
+                if not f_lo <= f_hi:
+                    continue  # no y > 0 step on this branch
+                xs, curve, pair, _ = steady._branch_scan(sign, a, b, dtp,
+                                                         dtl)
+                sample = curve[rng.choice(np.flatnonzero(pair))]
+                for f_sq in (f * f, rng.uniform(f_lo, f_hi), sample):
+                    resid = curve - f_sq
+                    for i in np.flatnonzero(pair & (
+                            (resid[:-1] == 0.0)
+                            | (resid[:-1] * resid[1:] < 0.0))):
+                        out.append((float(xs[i]), float(xs[i + 1]),
+                                    float(resid[i]), float(f_sq), sign, dtp,
+                                    dtl, b == max(f * f, 1.0) + 1.0))
+    return out
+
+
+class TestBracketRoot:
+    """The scalar bracket search is _bisect over the array formulas."""
+
+    def test_matches_array_bisection(self, brackets):
+        for lo, hi, side, f_sq, sign, dtp, dtl, _ in brackets:
+            want, _ = _array_bisection(lo, hi, side, f_sq, sign, dtp, dtl)
+            assert steady._bracket_root(lo, hi, side, f_sq, sign, dtp,
+                                        dtl) == want, (lo, hi, f_sq)
+        kinds = {(sign, capped) for *_, sign, _, _, capped in brackets}
+        assert len(brackets) >= 500
+        assert kinds == {(s, c) for s in (1.0, -1.0) for c in (True, False)}
+        assert any(side == 0.0 for _, _, side, *_ in brackets)
+
+    def test_stops_when_it_repeats(self, brackets, monkeypatch):
+        passes = []  # one square root per pass of the loop
+
+        def sqrt(v):
+            passes.append(v)
+            return math.sqrt(v)
+
+        monkeypatch.setattr(steady, "math", SimpleNamespace(sqrt=sqrt))
+        for lo, hi, side, f_sq, sign, dtp, dtl, _ in brackets:
+            _, probes = _array_bisection(lo, hi, side, f_sq, sign, dtp, dtl)
+            passes.clear()
+            steady._bracket_root(lo, hi, side, f_sq, sign, dtp, dtl)
+            # every scan step collapses to adjacent floats within 60
+            # probes; the pass whose midpoint repeats is the last, and
+            # its x is x₀
+            assert len(passes) == probes < 60, (lo, hi, f_sq)
+
+
+def _full_grid_minimum(dtp: float, dtl: float) -> float:
+    """Least positive F² at the y > 0 samples of threshold's x grid,
+    with F² evaluated at every sample and the rest masked out."""
+    x_top = (2.0 * dtl + math.sqrt(dtl * dtl - 3.0)) / 3.0
+    xs = np.linspace(1.0, min(x_top + 1.0, 401.0),
+                     steady._THRESHOLD_SCAN_POINTS)
+    best = math.inf
+    for sign in (+1.0, -1.0):
+        ys, f_sq = _curve(xs, sign, dtp, dtl)
+        ok = (ys > 0.0) & (f_sq > 0.0)
+        if ok.any():
+            best = min(best, float(np.min(f_sq[ok])))
+    return best
+
+
+class TestThresholdMinimum:
+    def test_y_positive_subset_changes_no_bit(self, rng):
+        points = [(float(dtp), float(dtl)) for dtp, dtl in
+                  zip(rng.uniform(-1, 6, 100), rng.uniform(1.75, 7, 100))]
+        # just above √3 no sample has y > 0; far detuned, F² = 400
+        # caps the grid
+        points += [(dtp, dtl) for dtp in (-0.5, 1.0, 3.0) for dtl in (
+            math.nextafter(SQRT3, math.inf), SQRT3 + 1e-12, SQRT3 + 1e-8,
+            SQRT3 + 1e-6, 1e3, 1e6)]
+        # at Δ̃_L = 2 the sample x = 1 has y = 0 exactly and F² = 1 + (Δ̃_p
+        # − 1)², below every y > 0 sample when Δ̃_p = 1: y ≥ 0 would take it
+        points += [(1.0, 2.0), (1.2, 2.0)]
+        ys, f_sq = _curve(np.array([1.0]), 1.0, 1.0, 2.0)
+        assert (ys[0], f_sq[0]) == (0.0, 1.0)
+        got = [steady._least_drive_sq(dtp, dtl) for dtp, dtl in points]
+        assert got == [_full_grid_minimum(dtp, dtl) for dtp, dtl in points]
+        assert got.count(math.inf) >= 6
+        assert 1.0 < got[points.index((1.0, 2.0))] < math.inf
 
 
 # threshold points whose downward walk outlasted its first 60 steps
