@@ -148,7 +148,8 @@ def _axes_from_args(args, cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _load_sigma(path: str) -> np.ndarray:
     """The 4×4 covariance of a --sigma-json file, checked before use."""
-    sigma = np.array(json.loads(Path(path).read_text()), dtype=float)
+    text = Path(path).read_text(encoding="utf-8")
+    sigma = np.array(json.loads(text), dtype=float)
     if sigma.shape != (4, 4):
         raise ValueError(f"--sigma-json is {sigma.shape}, not 4x4")
     if not np.isfinite(sigma).all():
@@ -290,13 +291,21 @@ _PHASE_HEADER = ["delta_p0_hz", "a_pin_v_per_m", "phase", "c_min",
 
 
 def _write_phase_csv(out: Path, name: str, grid: phases.SweepGrid) -> Path:
-    rows = []
-    for i, delta in enumerate(grid.delta_axis):
-        for j, amp in enumerate(grid.amplitude_axis):
-            p = grid.points[i][j]
-            rows.append((float(delta), float(amp), p.phase.value, p.c_min,
-                         p.n_branches, p.max_eig_re))
-    return write_output(out, f"{name}.csv", _csv(_PHASE_HEADER, rows))
+    """The bytes ``_csv`` gives for one (delta, amp, phase, c_min,
+    n_branches, max_eig_re) row per cell, in row-major order.
+
+    Each axis value is formatted once; float() first, since numpy 2
+    prints a np.float64 as ``np.float64(...)``.
+    """
+    fmt = _fmt_cell
+    amps = [fmt(float(a)) for a in grid.amplitude_axis]
+    lines = [",".join(_PHASE_HEADER)]
+    for delta, row in zip(grid.delta_axis, grid.points):
+        lead = fmt(float(delta))
+        lines.extend(f"{lead},{amp},{fmt(p.phase.value)},{fmt(p.c_min)},"
+                     f"{fmt(p.n_branches)},{fmt(p.max_eig_re)}"
+                     for amp, p in zip(amps, row))
+    return write_output(out, f"{name}.csv", "\n".join(lines) + "\n")
 
 
 def _phase_counts(grid: phases.SweepGrid) -> dict[str, int]:

@@ -236,8 +236,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     """
     cfg_path = Path(path) if path is not None else default_config_path()
     try:
-        text = cfg_path.read_text()
-    except OSError as exc:
+        text = cfg_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {cfg_path}: {exc}") from exc
     try:
         raw = json.loads(text)

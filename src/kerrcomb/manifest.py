@@ -22,9 +22,10 @@ def sha256_file(path: Path) -> str:
 
 
 def write_output(out_dir: Path, name: str, content: str) -> Path:
+    """Write ``content`` as UTF-8 with LF line ends, whatever the locale."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8", newline="\n")
     return path
 
 

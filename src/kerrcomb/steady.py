@@ -138,16 +138,12 @@ def _cubic_roots(dtp: float, f_sq: float) -> list[float]:
         roots = [m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift
                  for k in range(3)]
 
-    def poly(x: float) -> float:
-        return ((x + b) * x + c) * x + d
-
-    def dpoly(x: float) -> float:
-        return (3.0 * x + 2.0 * b) * x + c
-
+    two_b = 2.0 * b
     polished = []
     for x in roots:
         for _ in range(40):
-            fx, dfx = poly(x), dpoly(x)
+            fx = ((x + b) * x + c) * x + d
+            dfx = (3.0 * x + two_b) * x + c
             if dfx == 0.0:
                 break
             step = fx / dfx

@@ -95,20 +95,17 @@ def heatmap_svg(values: np.ndarray, x_axis: Sequence[float],
         'patternUnits="userSpaceOnUse">'
         '<path d="M0,6 L6,0" stroke="#555555" stroke-width="1"/>'
         "</pattern></defs>")
-    for i in range(ny):
+    # each column's x, each row's y and the cell size are formatted once
+    heads = [f'<rect x="{_fmt(_MARGIN_L + j * cell_w)}" y="'
+             for j in range(nx)]
+    size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
+    for i, row in enumerate(values.tolist()):
         # row 0 at the bottom: y axis increases upward
-        y0 = _MARGIN_T + plot_h - (i + 1) * cell_h
-        for j in range(nx):
-            x0 = _MARGIN_L + j * cell_w
-            value = float(values[i, j])
-            parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                         f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
-                         f'fill="{color_for(value)}"/>')
+        y0 = _fmt(_MARGIN_T + plot_h - (i + 1) * cell_h)
+        for head, value in zip(heads, row):
+            parts.append(f'{head}{y0}{size}{color_for(value)}"/>')
             if math.isnan(value):
-                parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                             f'width="{_fmt(cell_w)}" '
-                             f'height="{_fmt(cell_h)}" '
-                             f'fill="url(#hatch)"/>')
+                parts.append(f'{head}{y0}{size}url(#hatch)"/>')
     # frame and tick labels
     parts.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
                  f'height="{plot_h}" fill="none" stroke="#000000"/>')

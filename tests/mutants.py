@@ -42,6 +42,9 @@ class Mutant:
 
 
 _STEADY = "src/kerrcomb/steady.py"
+_CLI = "src/kerrcomb/cli.py"
+_SVG = "src/kerrcomb/svg.py"
+_WRITERS = "tests/test_bundle_writers.py"
 
 MUTANTS = (
     # the bracket search moves lo on a zero product: a step whose left
@@ -100,11 +103,45 @@ MUTANTS = (
            tests=("tests/test_oracle.py::TestChunkMap::"
                   "test_matches_one_step_recursion",)),
     # argparse's prefix matching back on: `--om` would read as --omega
-    Mutant("cli-flag-prefixes", "src/kerrcomb/cli.py",
+    Mutant("cli-flag-prefixes", _CLI,
            old="allow_abbrev=False",
            new="allow_abbrev=True",
            tests=("tests/test_config_cli.py::TestCli::"
                   "test_no_leaf_takes_a_flag_prefix",)),
+    # the pump-only polish stops a decade early: roots move in the last bits
+    Mutant("cubic-polish-stop-early", _STEADY,
+           old="if abs(step) < 1e-16 * max(1.0, abs(x)):",
+           new="if abs(step) < 1e-15 * max(1.0, abs(x)):",
+           tests=(f"{_WRITERS}::"
+                  "test_cubic_roots_bit_identical_to_reference",)),
+    # the phase CSV prints the detuning as np.float64(...)
+    Mutant("phase-csv-numpy-detuning", _CLI,
+           old="lead = fmt(float(delta))",
+           new="lead = fmt(delta)",
+           tests=(f"{_WRITERS}::test_phase_csv_matches_reference",)),
+    # MI cells of the heat map lose their hatch overlay
+    Mutant("heatmap-no-hatch", _SVG,
+           old="            if math.isnan(value):\n"
+               "                parts.append("
+               "f'{head}{y0}{size}url(#hatch)\"/>')\n",
+           new="",
+           tests=(f"{_WRITERS}::test_heatmap_matches_reference",)),
+    # every heat-map row is drawn one cell too low
+    Mutant("heatmap-row-y-from-i", _SVG,
+           old="_MARGIN_T + plot_h - (i + 1) * cell_h",
+           new="_MARGIN_T + plot_h - i * cell_h",
+           tests=(f"{_WRITERS}::test_heatmap_matches_reference",)),
+    # a value exactly on a bucket edge takes the next bucket's color
+    Mutant("heatmap-bucket-open-edge", _SVG,
+           old="            if v <= edge:",
+           new="            if v < edge:",
+           tests=(f"{_WRITERS}::test_heatmap_edge_values_and_int_arrays",)),
+    # outputs written in the locale's encoding: '≤' fails under LC_ALL=C
+    Mutant("output-locale-encoding", "src/kerrcomb/manifest.py",
+           old='path.write_text(content, encoding="utf-8", newline="\\n")',
+           new='path.write_text(content, newline="\\n")',
+           tests=(f"{_WRITERS}::"
+                  "test_bundle_bytes_do_not_depend_on_the_locale",)),
 )
 
 

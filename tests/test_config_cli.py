@@ -78,6 +78,12 @@ class TestConfig:
         with pytest.raises(ParseError):
             load_config(tmp_path / "missing.json")
 
+    def test_config_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"label": "\xff"}')
+        with pytest.raises(ParseError, match="cannot read"):
+            load_config(path)
+
     def test_round_trip_identical(self, cfg, tmp_path):
         path = tmp_path / "copy.json"
         path.write_text(serialize_config(cfg))
