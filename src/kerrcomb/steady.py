@@ -22,13 +22,12 @@ possible for Δ̃_L > √3, which is why instability and oscillation set in
 past that detuning.
 
 The drive curve F²(x) along the pair line depends on (Δ̃_p, Δ̃_L) alone.
-parametric_branch samples it once per (sign, interval, Δ̃_p, Δ̃_L) and
-shares that scan between calls, so the threshold search, and the
-amplitude cells of a sweep row, scan each branch once whenever F does
-not cap the interval. Each cached scan also carries the range of F² its
-y > 0 steps can bracket; a branch whose range excludes F² skips the
-bracket search, which on such a branch finds nothing (docs/derivation.md,
-"Steady states").
+parametric_branch samples it once per (sign, Δ̃_p, Δ̃_L) and shares that
+scan between calls, so the threshold search, and the amplitude cells of
+a sweep row, scan each branch once. Each cached scan also carries the
+range of F² its y > 0 steps can bracket; a branch whose range excludes
+F² skips the bracket search, which on such a branch finds nothing
+(docs/derivation.md, "Steady states").
 
 Since a₋ = a₊ on every parametric state, the three-mode linearization
 splits exactly under the signal/idler exchange. The antisymmetric pair
@@ -160,6 +159,13 @@ def _cubic_roots(dtp: float, f_sq: float) -> list[float]:
     return out
 
 
+def _check_finite(**values: float) -> None:
+    """Raise ValueError naming every argument that is NaN or infinite."""
+    bad = [name for name, value in values.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
+
+
 def _pump_only_psi(dtp: float, x: float) -> float:
     """Pump phase lag: tan ψ = (Δ̃_p − x) with cos ψ ∝ 1."""
     return math.atan2(dtp - x, 1.0)
@@ -174,8 +180,7 @@ def pump_only_branches(f_norm: float, dtp: float) -> list[SteadyState]:
     root is stable except at the upper fold. Parametric instability of
     these states is the business of the fluctuation matrix.
     """
-    if not (math.isfinite(f_norm) and math.isfinite(dtp)):
-        raise ValueError("f_norm and dtp must be finite")
+    _check_finite(f_norm=f_norm, dtp=dtp)
     if f_norm < 0:
         raise ValueError("f_norm must be nonnegative")
     roots = _cubic_roots(dtp, f_norm * f_norm)
@@ -356,20 +361,30 @@ def _bracket_root(lo: float, hi: float, side: float, f_sq: float,
 
 
 @functools.lru_cache(maxsize=8)  # ~20 KB per entry
-def _branch_scan(sign: float, a: float, b: float, dtp: float, dtl: float,
+def _branch_scan(sign: float, dtp: float, dtl: float,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The sweep of one sign branch on [a, b]: x, F², the y > 0 steps
-    and the F² range those steps can bracket.
+    """The sweep of one sign branch over its y > 0 interval: x, F², the
+    y > 0 steps and the F² range those steps can bracket; needs dtl > √3.
+
+    y > 0 confines x between the roots x_dn < x_up of
+    3x² − 4·dtl·x + (dtl² + 1): branch u = +√(x²−1) lives on [1, x_dn),
+    branch u = −√(x²−1) on (x_dn, x_up) for dtl ≤ 2 and [1, x_up)
+    otherwise. Scanning exactly these intervals keeps the resolution
+    adaptive and catches crossings that hug the y = 0 boundary; an empty
+    interval has no steps.
 
     The third array marks the steps whose both ends have y > 0. The
     fourth is (f_lo, f_hi): the least and the greatest F² sample at the
     ends of those steps, NaN samples left out, or (inf, −inf) when there
     are none. A bracket at step i has F² between its two samples, so no
-    F² outside [f_lo, f_hi] has one. The scan does not depend on F
-    beyond the interval cap, so calls at one (Δ̃_p, Δ̃_L) share it; the
-    arrays are read-only.
+    F² outside [f_lo, f_hi] has one. The scan does not depend on F, so
+    calls at one (Δ̃_p, Δ̃_L) share it; the arrays are read-only.
     """
-    xs = np.linspace(a, b, _SCAN_POINTS)
+    s3 = math.sqrt(dtl * dtl - 3.0)
+    x_dn = (2.0 * dtl - s3) / 3.0
+    a, b = (1.0, x_dn) if sign > 0.0 else (
+        1.0 if dtl > 2.0 else x_dn, (2.0 * dtl + s3) / 3.0)
+    xs = np.linspace(a, b, _SCAN_POINTS if b > a else 0)
     ys = _pair_power(xs, sign, dtl)
     curve = _drive_sq(xs, ys, dtp, dtl)
     pos = ys > 0.0
@@ -392,38 +407,24 @@ def parametric_branch(f_norm: float, dtp: float,
     both square-root branches; crossings of the drive equation are
     bracketed on the sweep and Newton polished; a polish that does not
     converge raises NoConvergenceError. The sweep is shared per (sign,
-    interval, Δ̃_p, Δ̃_L): F enters it only through the interval cap.
-    Each cached sweep carries the F² range its y > 0 steps can bracket,
-    and a branch whose range excludes F² is not searched. A root is
-    stable when u < 0 and its exchange-symmetric block is Hurwitz; the
-    antisymmetric sector, free phase split included, is {0, −2} for
-    every root.
+    Δ̃_p, Δ̃_L). Each cached sweep carries the F² range its y > 0 steps
+    can bracket, and a branch whose range excludes F² is not searched.
+    A root is stable when u < 0 and its exchange-symmetric block is
+    Hurwitz; the antisymmetric sector, free phase split included, is
+    {0, −2} for every root. A NaN or infinite argument is a ValueError.
     """
+    _check_finite(f_norm=f_norm, dtp=dtp, dtl=dtl)
     if f_norm <= 0:
         return []
     if dtl <= math.sqrt(3.0):
         return []  # y > 0 requires dtl > sqrt(3)
 
-    # y > 0 confines x between roots of 3x² − 4·dtl·x + (dtl² + 1):
-    # branch u = +√(x²−1) lives on [1, x_dn), branch u = −√(x²−1) on
-    # (x_dn, x_up) for dtl ≤ 2 and [1, x_up) otherwise. Scanning exactly
-    # these intervals keeps the resolution adaptive and catches
-    # crossings that hug the y = 0 boundary.
-    s3 = math.sqrt(dtl * dtl - 3.0)
-    x_dn = (2.0 * dtl - s3) / 3.0
-    x_up = (2.0 * dtl + s3) / 3.0
-    x_cap = max(f_norm * f_norm, 1.0) + 1.0
     f_sq = f_norm * f_norm
-    intervals = ((+1.0, 1.0, min(x_dn, x_cap)),
-                 (-1.0, 1.0 if dtl > 2.0 else x_dn, min(x_up, x_cap)))
-
     solutions: list[tuple[float, float]] = []
-    for sign, a, b in intervals:
-        if not b > a:
-            continue
-        xs, curve, pair, (f_lo, f_hi) = _branch_scan(sign, a, b, dtp, dtl)
+    for sign in (+1.0, -1.0):
+        xs, curve, pair, (f_lo, f_hi) = _branch_scan(sign, dtp, dtl)
         if not f_lo <= f_sq <= f_hi:
-            continue  # no step can bracket F², a NaN F² included
+            continue  # no step can bracket F²
         resid = curve - f_sq
         brackets = pair & (
             (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))
@@ -497,8 +498,10 @@ def threshold(dtp: float, dtl: float) -> ThresholdReport:
     report exists = False though a window opens below F = 20. What
     holds is this: the returned F is a float at which parametric_branch
     finds a root, and at the float just below it finds none. Reports
-    exists = False when no root is found up to F = 20.
+    exists = False when no root is found up to F = 20. A NaN or infinite
+    detuning is a ValueError.
     """
+    _check_finite(dtp=dtp, dtl=dtl)
     if dtl <= math.sqrt(3.0):
         return ThresholdReport(f_threshold=math.nan, exists=False)
     best = _least_drive_sq(dtp, dtl)

@@ -142,6 +142,76 @@ MUTANTS = (
            new='path.write_text(content, newline="\\n")',
            tests=(f"{_WRITERS}::"
                   "test_bundle_bytes_do_not_depend_on_the_locale",)),
+    # the symmetric pair mode's self-phase term 6y read as 4y
+    Mutant("symmetric-block-diagonal-4y", _STEADY,
+           old="2.0 * x + 6.0 * y - dtl",
+           new="2.0 * x + 4.0 * y - dtl",
+           tests=("tests/test_steady.py::TestParametric::"
+                  "test_symmetric_block_matches_finite_differences",
+                  "tests/test_steady.py::TestParametric::"
+                  "test_stability_split")),
+    # the symmetric pair mode's S/S† coupling 3y read as 2y
+    Mutant("symmetric-block-pair-2y", _STEADY,
+           old="x + 3.0 * y * h2",
+           new="x + 2.0 * y * h2",
+           tests=("tests/test_steady.py::TestParametric::"
+                  "test_symmetric_block_matches_finite_differences",
+                  "tests/test_steady.py::TestParametric::"
+                  "test_stability_split")),
+    # the pump-only fold no longer marks its double root unstable: the
+    # middle index is called unstable at both folds
+    Mutant("fold-double-root-unlabelled", _STEADY,
+           old="    if len(roots) == 2:  # the double root is where dF²/dx "
+               "vanishes\n",
+           new="    if False:\n",
+           tests=("tests/test_steady.py::TestPumpOnly::"
+                  "test_fold_double_root_unstable",)),
+    # parametric_branch and threshold answer [] / exists=False for a
+    # NaN or infinite input instead of refusing it
+    Mutant("steady-finite-guard-dropped", _STEADY,
+           old="        raise ValueError(f\"{', '.join(bad)} must be "
+               "finite\")",
+           new="        pass",
+           tests=("tests/test_steady.py::"
+                  "test_non_finite_input_is_refused_by_name",
+                  "tests/test_steady.py::TestScanRange::"
+                  "test_nan_drive_is_refused")),
+    # one cached scan: the two sign branches evict each other on every
+    # parametric_branch call, so each call builds both scans anew
+    Mutant("branch-scan-cache-of-one", _STEADY,
+           old="@functools.lru_cache(maxsize=8)",
+           new="@functools.lru_cache(maxsize=1)",
+           tests=("tests/test_steady.py::TestOneScanPerDetuningPair::"
+                  "test_threshold_builds_at_most_two_scans",
+                  "tests/test_steady.py::TestOneScanPerDetuningPair::"
+                  "test_sweep_row_builds_at_most_two_scans")),
+    # the Langevin window sum loses the input residue ξ
+    Mutant("langevin-xi-dropped", "src/kerrcomb/oracle.py",
+           old="    xi_scale = (t_loss / 2.0) * math.sqrt(t_obs / 2.0)\n",
+           new="    xi_scale = 0.0\n",
+           tests=("tests/test_oracle.py::TestLangevin::"
+                  "test_samples_the_euler_chain_law",)),
+    # each generator's noise block is drawn transposed: same normals,
+    # other places
+    Mutant("langevin-block-draw-transposed", "src/kerrcomb/oracle.py",
+           old="                (len(todo), 8, per_batch[b]))",
+           new="                (per_batch[b], 8, len(todo))).T",
+           tests=("tests/test_oracle.py::TestLangevinBlockDraw::"
+                  "test_same_stream_as_per_chunk_draws",)),
+    # the sweep's pair detuning off by 1e-7 from the per-point path
+    Mutant("sweep-dtl-shifted", "src/kerrcomb/phases.py",
+           old="        dtl = dtp + offset\n",
+           new="        dtl = dtp + offset + 1e-7\n",
+           tests=("tests/test_phases.py::TestSharedPumpGrid::"
+                  "test_cells_equal_classify_drive",
+                  "tests/test_phases.py::TestSweepEqualsPerCellPath::"
+                  "test_grid_bits_match")),
+    # non-finite float flags reach the handlers unchecked
+    Mutant("cli-finite-check-skipped", _CLI,
+           old="        _require_finite(args)\n",
+           new="",
+           tests=("tests/test_config_cli.py::TestCli::"
+                  "test_every_float_flag_is_checked_finite",)),
 )
 
 

@@ -22,6 +22,7 @@ from kerrcomb.phases import (
     pump_only_max_eig_re,
     sweep,
 )
+from kerrcomb.steady import bistability_turning_points
 
 from helpers import drive_of
 
@@ -452,3 +453,47 @@ class TestJointPumpDecision:
                     assert repr(got) == repr(ref)
                     outcomes.add("feasible")
         assert outcomes == {"feasible", "infeasible"}
+
+
+class TestFoldBand:
+    """Three pump-only roots exactly between the folds, and MI there.
+
+    The band F²₊ < F² < F²₋ comes from the closed-form fold points of
+    ``bistability_turning_points``, which shares no code with the cubic
+    solver behind each cell's root count.
+    """
+
+    @pytest.mark.parametrize("labels, Ls, n", [
+        (("TE00",), (1,), None),                        # fig4
+        (("TE00", "TE10", "TM10"), (1, 3, 6), 24),      # fig7 --grid 24
+    ], ids=["fig4", "fig7-grid24"])
+    def test_three_roots_exactly_between_the_folds(self, cfg, resonator,
+                                                   labels, Ls, n):
+        axes = cfg.sweep_defaults
+        n = n or axes["grid"]
+        deltas = np.linspace(axes["delta_min_ghz"] * 1e9,
+                             axes["delta_max_ghz"] * 1e9, n)
+        amps = np.linspace(axes["amp_min_v_per_m"], axes["amp_max_v_per_m"],
+                           n)
+        inside_cells = 0
+        for fam in map(resonator.family, labels):
+            pump = pump_grid(fam, deltas, amps)
+            band = {}  # (i, j) -> between the folds, for cells off a fold
+            for i, dtp in enumerate(pump.dtp):
+                # below √3 there is no fold, so no F² is between them
+                (_, f2_minus), (_, f2_plus) = (
+                    bistability_turning_points(dtp) if dtp >= SQRT3
+                    else ((0.0, math.inf),) * 2)
+                for j, f in enumerate(pump.f_norm[i]):
+                    f_sq = f * f
+                    if min(abs(f_sq - f2_minus), abs(f_sq - f2_plus)) \
+                            > 1e-12 * f_sq:
+                        band[i, j] = f2_plus < f_sq < f2_minus
+            inside_cells += sum(band.values())
+            for L in Ls:
+                grid = sweep(pump, L)
+                for (i, j), inside in band.items():
+                    cell = grid.points[i][j]
+                    assert (cell.n_branches == 3) == inside, (L, i, j)
+                    assert cell.phase is Phase.MI or not inside, (L, i, j)
+        assert inside_cells > 40  # TE00 has 285 on 64×64, 42 on 24×24

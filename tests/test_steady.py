@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kerrcomb import oracle, steady
+from kerrcomb import oracle, phases, steady
 from kerrcomb.fluct import build_m
 from kerrcomb.steady import (
     SteadyState,
@@ -281,15 +282,15 @@ class TestParametric:
         assert (_max_re_without_null(m) < 0.0) == (u < 0.0)
 
     def test_shared_scan_changes_no_bit(self, rng):
-        # F in [0.3, 4] caps the scan interval at F² + 1 on some drives
-        # and leaves it at the y > 0 edge on others
+        # the last three rows have Δ̃_L in (√3, 2], where the minus branch
+        # starts at x_dn
         rows = [(float(rng.uniform(-1, 6)), float(rng.uniform(1.75, 7)))
-                for _ in range(12)]
+                for _ in range(9)]
+        rows += [(float(rng.uniform(-1, 3)), float(rng.uniform(1.74, 2.0)))
+                 for _ in range(3)]
         drives = [(float(f), dtp, dtl) for dtp, dtl in rows
                   for f in rng.uniform(0.3, 4.0, 10)]
-        capped = [f * f + 1.0 < (2.0 * dtl + math.sqrt(dtl * dtl - 3.0)) / 3.0
-                  for f, dtp, dtl in drives if dtl > SQRT3]
-        assert any(capped) and not all(capped)
+        assert _branch_kinds(drives) == ALL_BRANCH_KINDS
 
         def cold(drive):
             steady._branch_scan.cache_clear()
@@ -308,16 +309,34 @@ class TestParametric:
             assert steady._branch_scan.cache_info().hits > 0
 
     def test_shared_scan_is_read_only(self):
-        for arr in steady._branch_scan(-1.0, 1.0, 3.0, 2.4, 2.4):
+        for arr in steady._branch_scan(-1.0, 2.4, 2.4):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
 
 
-def _outcome(drive) -> str:
-    """parametric_branch at ``drive``: its roots' repr, or what it raised."""
+# (sign, starts at x = 1) of the branch scans: the plus branch always
+# starts at 1, the minus branch at 1 for Δ̃_L > 2 and at x_dn otherwise
+ALL_BRANCH_KINDS = {(1.0, True), (-1.0, True), (-1.0, False)}
+
+
+def _branch_kinds(drives) -> set[tuple[float, bool]]:
+    """(sign, starts at 1) of each branch scan with a y > 0 step that
+    parametric_branch reads at ``drives``."""
+    kinds = set()
+    for _, dtp, dtl in drives:
+        for sign in (1.0, -1.0):
+            if dtl > SQRT3:
+                xs, _, pair, _ = steady._branch_scan(sign, dtp, dtl)
+                if pair.any():
+                    kinds.add((sign, bool(xs[0] == 1.0)))
+    return kinds
+
+
+def _outcome(drive, search=parametric_branch) -> str:
+    """``search`` at ``drive``: its roots' repr, or what it raised."""
     try:
-        return repr(parametric_branch(*drive))
+        return repr(search(*drive))
     except steady.NoConvergenceError as exc:
         return f"NoConvergenceError: {exc}"
 
@@ -325,14 +344,13 @@ def _outcome(drive) -> str:
 def _with_and_without_range(monkeypatch, drive):
     """The outcome at ``drive`` as it is, and with every cached F² range
     widened to all F², so each branch goes on to the bracket search over
-    the same scan arrays; and {(sign, a, b): (f_lo, f_hi)} of the scans
-    it read."""
+    the same scan arrays; and {sign: (f_lo, f_hi)} of the scans it read."""
     scan = steady._branch_scan
     ranges = {}
 
     def widened(*args):
         xs, curve, pair, f_range = scan(*args)
-        ranges[args[:3]] = tuple(f_range)
+        ranges[args[0]] = tuple(f_range)
         return xs, curve, pair, np.array([-math.inf, math.inf])
 
     checked = _outcome(drive)
@@ -359,15 +377,17 @@ class TestScanRange:
 
     @staticmethod
     def _drives(rng, rows, per_row):
-        # F in [0.3, 4] caps the scan interval at F² + 1 on some drives
-        # and leaves it at the y > 0 edge on others
+        # a quarter more rows with Δ̃_L in (√3, 2], where the minus
+        # branch starts at x_dn
         drives = [(float(f), float(dtp), float(dtl))
                   for dtp, dtl in zip(rng.uniform(-1, 6, rows),
                                       rng.uniform(1.75, 7, rows))
                   for f in rng.uniform(0.3, 4.0, per_row)]
-        capped = [f * f + 1.0 < (2.0 * dtl + math.sqrt(dtl * dtl - 3.0)) / 3.0
-                  for f, dtp, dtl in drives if dtl > SQRT3]
-        assert any(capped) and not all(capped)
+        drives += [(float(f), float(dtp), float(dtl))
+                   for dtp, dtl in zip(rng.uniform(-1, 3, rows // 4),
+                                       rng.uniform(1.74, 2.0, rows // 4))
+                   for f in rng.uniform(0.3, 4.0, per_row)]
+        assert _branch_kinds(drives) == ALL_BRANCH_KINDS
         return drives
 
     def test_skips_only_what_has_no_bracket(self, rng, monkeypatch):
@@ -381,15 +401,17 @@ class TestScanRange:
             found += checked != "[]"
         assert skipped > 100 and found > 50
 
-    def test_nan_drive_skips(self, monkeypatch):
-        checked, unchecked, ranges = _with_and_without_range(
-            monkeypatch, (math.nan, 2.4, 2.4))
-        assert checked == unchecked == "[]" and ranges
+    def test_nan_drive_is_refused(self, monkeypatch):
+        # before any scan is read, with every non-finite input named
+        read = []
+        monkeypatch.setattr(steady, "_branch_scan", lambda *a: read.append(a))
+        with pytest.raises(ValueError, match="^f_norm, dtl must be finite$"):
+            parametric_branch(math.nan, 2.4, math.inf)
+        assert read == []
 
     def test_range_ends_are_searched(self, rng, monkeypatch):
         # F² exactly at either end can be a sample, hence a bracket; one
-        # float past it cannot. Ends whose F would move the interval cap
-        # belong to another scan and are left out.
+        # float past it cannot
         kinds = {"lo": (0, 0.0), "hi": (1, 0.0),
                  "below_lo": (0, -math.inf), "above_hi": (1, math.inf)}
         seen = dict.fromkeys(kinds, 0)
@@ -397,7 +419,7 @@ class TestScanRange:
         for f0, dtp, dtl in self._drives(rng, 30, 4):
             _, _, ranges = _with_and_without_range(monkeypatch,
                                                    (f0, dtp, dtl))
-            for key, f_range in ranges.items():
+            for sign, f_range in ranges.items():
                 if not f_range[0] <= f_range[1]:
                     continue  # no y > 0 step on this branch
                 for kind, (end, away) in kinds.items():
@@ -409,10 +431,9 @@ class TestScanRange:
                         continue
                     checked, unchecked, read = _with_and_without_range(
                         monkeypatch, (f, dtp, dtl))
-                    if read.get(key) != f_range:
-                        continue
+                    assert read[sign] == f_range
                     assert checked == unchecked, (kind, f, dtp, dtl)
-                    _, curve, pair, _ = steady._branch_scan(*key, dtp, dtl)
+                    _, curve, pair, _ = steady._branch_scan(sign, dtp, dtl)
                     resid = curve - f * f
                     seen[kind] += 1
                     bracketed[kind] += bool(np.any(pair & (
@@ -446,20 +467,20 @@ def _array_bisection(lo, hi, side, f_sq, sign, dtp, dtl):
 
 @pytest.fixture(scope="module")
 def brackets():
-    """(lo, hi, side, f_sq, sign, dtp, dtl, capped) for bracketing steps
-    of the scans parametric_branch reads at seeded drives. Each scan is
-    cut at the drive's F², at an F² drawn from its bracketable range,
-    and at one of its own y > 0 samples, whose step then has side 0."""
+    """(lo, hi, side, f_sq, sign, dtp, dtl, from_one) for bracketing
+    steps of the scans parametric_branch reads at seeded drives, from_one
+    telling whether the scan starts at x = 1. Each scan is cut at the
+    drive's F², at an F² drawn from its bracketable range, and at one of
+    its own y > 0 samples, whose step then has side 0."""
     rng = np.random.default_rng(20260808)
     out = []
     with pytest.MonkeyPatch.context() as patch:
         for f, dtp, dtl in TestScanRange._drives(rng, 30, 4):
             _, _, ranges = _with_and_without_range(patch, (f, dtp, dtl))
-            for (sign, a, b), (f_lo, f_hi) in ranges.items():
+            for sign, (f_lo, f_hi) in ranges.items():
                 if not f_lo <= f_hi:
                     continue  # no y > 0 step on this branch
-                xs, curve, pair, _ = steady._branch_scan(sign, a, b, dtp,
-                                                         dtl)
+                xs, curve, pair, _ = steady._branch_scan(sign, dtp, dtl)
                 sample = curve[rng.choice(np.flatnonzero(pair))]
                 for f_sq in (f * f, rng.uniform(f_lo, f_hi), sample):
                     resid = curve - f_sq
@@ -468,7 +489,7 @@ def brackets():
                             | (resid[:-1] * resid[1:] < 0.0))):
                         out.append((float(xs[i]), float(xs[i + 1]),
                                     float(resid[i]), float(f_sq), sign, dtp,
-                                    dtl, b == max(f * f, 1.0) + 1.0))
+                                    dtl, bool(xs[0] == 1.0)))
     return out
 
 
@@ -480,9 +501,9 @@ class TestBracketRoot:
             want, _ = _array_bisection(lo, hi, side, f_sq, sign, dtp, dtl)
             assert steady._bracket_root(lo, hi, side, f_sq, sign, dtp,
                                         dtl) == want, (lo, hi, f_sq)
-        kinds = {(sign, capped) for *_, sign, _, _, capped in brackets}
+        kinds = {(sign, from_one) for *_, sign, _, _, from_one in brackets}
         assert len(brackets) >= 500
-        assert kinds == {(s, c) for s in (1.0, -1.0) for c in (True, False)}
+        assert kinds == ALL_BRANCH_KINDS
         assert any(side == 0.0 for _, _, side, *_ in brackets)
 
     def test_stops_when_it_repeats(self, brackets, monkeypatch):
@@ -501,6 +522,134 @@ class TestBracketRoot:
             # probes; the pass whose midpoint repeats is the last, and
             # its x is x₀
             assert len(passes) == probes < 60, (lo, hi, f_sq)
+
+
+def _capped_search(f_norm: float, dtp: float,
+                   dtl: float) -> list[SteadyState]:
+    """parametric_branch as it was while F capped its scan interval at
+    x = max(F², 1) + 1, on the production helpers: a fresh scan per call
+    on the capped y > 0 interval, every bracket searched."""
+    if f_norm <= 0 or dtl <= SQRT3:
+        return []
+    s3 = math.sqrt(dtl * dtl - 3.0)
+    x_dn = (2.0 * dtl - s3) / 3.0
+    x_up = (2.0 * dtl + s3) / 3.0
+    x_cap = max(f_norm * f_norm, 1.0) + 1.0
+    f_sq = f_norm * f_norm
+    solutions = []
+    for sign, a, b in ((1.0, 1.0, min(x_dn, x_cap)),
+                       (-1.0, 1.0 if dtl > 2.0 else x_dn, min(x_up, x_cap))):
+        if not b > a:
+            continue
+        xs = np.linspace(a, b, steady._SCAN_POINTS)
+        ys, curve = _curve(xs, sign, dtp, dtl)
+        pos = ys > 0.0
+        resid = curve - f_sq
+        for i in np.flatnonzero(pos[:-1] & pos[1:] & (
+                (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))):
+            x0, y0 = steady._bracket_root(float(xs[i]), float(xs[i + 1]),
+                                          float(resid[i]), f_sq, sign, dtp,
+                                          dtl)
+            if y0 > 0.0:
+                x, y = steady._polish_pair(x0, y0, f_norm, dtp, dtl)
+                if y > 0.0:
+                    solutions.append((x, y))
+    states = []
+    for x, y in sorted(solutions):
+        if any(abs(x - s.ap2) < 1e-7 and abs(y - s.a2) < 1e-7
+               for s in states):
+            continue
+        u = dtl - 3.0 * y - 2.0 * x
+        phi = math.atan2(1.0 / x, u / x)
+        sin_psi = (math.sqrt(x) / f_norm) * (
+            dtp - x - (2.0 * y / x) * (dtl - 3.0 * y))
+        cos_psi = (math.sqrt(x) / f_norm) * (1.0 + 2.0 * y / x)
+        stable = u < 0.0 and bool(np.max(np.linalg.eigvals(
+            steady._symmetric_block(x, y, phi, dtp, dtl)).real) < 0.0)
+        states.append(SteadyState(ap2=x, a2=y, phi=phi,
+                                  psi=math.atan2(sin_psi, cos_psi),
+                                  branch=steady.Branch.PARAMETRIC,
+                                  stable=stable))
+    return states
+
+
+class TestOneScanPerDetuningPair:
+    """The scan depends on (sign, Δ̃_p, Δ̃_L) alone, F on nothing of it."""
+
+    def test_matches_the_capped_search(self, rng):
+        # bracket bisection ends on adjacent floats, so a bracket lands
+        # on the same sign change whichever scan step holds it
+        drives = []
+        for dtp, dtl in zip(rng.uniform(-1, 6, 90), rng.uniform(1.74, 7, 90)):
+            rep = threshold(float(dtp), float(dtl))
+            fs = list(rng.uniform(0.3, 4.0, 6))
+            if rep.exists:
+                fs += [m * rep.f_threshold
+                       for m in (1.0, 1.02, 1.05, 1.5, 2.0)]
+            drives += [(float(f), float(dtp), float(dtl)) for f in fs]
+        # far detuned rows, just above their least drive
+        far = np.exp(rng.uniform(math.log(7), math.log(100), 10))
+        for dtp, dtl in zip(rng.uniform(-1, 6, 10), far):
+            best = steady._least_drive_sq(float(dtp), float(dtl))
+            drives += [(math.sqrt(best * m), float(dtp), float(dtl))
+                       for m in (1.0 + 1e-6, 1.01, 1.1)]
+        capped = found = 0
+        for drive in drives:
+            got = _outcome(drive)
+            assert got == _outcome(drive, _capped_search), drive
+            f, _, dtl = drive
+            x_up = (2.0 * dtl + math.sqrt(dtl * dtl - 3.0)) / 3.0
+            capped += f * f + 1.0 < x_up
+            found += got != "[]"
+        assert capped >= 200 and found > 100, (capped, found)
+
+    def test_threshold_builds_at_most_two_scans(self, rng):
+        found = 0
+        for dtp, dtl in zip(rng.uniform(-1, 6, 30), rng.uniform(1.75, 7, 30)):
+            steady._branch_scan.cache_clear()
+            found += threshold(float(dtp), float(dtl)).exists
+            assert steady._branch_scan.cache_info().misses <= 2
+        assert found > 20
+
+    def test_sweep_row_builds_at_most_two_scans(self, cfg, te00, monkeypatch):
+        axes = cfg.sweep_defaults
+        deltas = np.linspace(axes["delta_min_ghz"] * 1e9,
+                             axes["delta_max_ghz"] * 1e9, 8)
+        amps = np.linspace(axes["amp_min_v_per_m"], axes["amp_max_v_per_m"],
+                           64)
+        calls = []
+        search = phases.parametric_branch
+        monkeypatch.setattr(phases, "parametric_branch",
+                            lambda *a: calls.append(a) or search(*a))
+        searched_rows = 0
+        for delta in deltas:
+            pump = phases.pump_grid(te00, [delta], amps)
+            for L in (1, 20):
+                calls.clear()
+                steady._branch_scan.cache_clear()
+                phases.sweep(pump, L)
+                misses = steady._branch_scan.cache_info().misses
+                assert misses <= 2
+                searched_rows += misses == 2 and len(calls) >= 32
+        assert searched_rows >= 4
+
+
+_FINITE_POINT = {"f_norm": 1.6, "dtp": 2.4, "dtl": 2.4}  # three roots
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("func, name", [
+    (func, name) for func in (parametric_branch, threshold)
+    for name in inspect.signature(func).parameters],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_non_finite_input_is_refused_by_name(func, name, bad):
+    kwargs = {k: _FINITE_POINT[k] for k in inspect.signature(func).parameters}
+    # at the finite point there is a root and a threshold to answer with
+    assert parametric_branch(1.6, 2.4, 2.4) and threshold(2.4, 2.4).exists
+    kwargs[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        func(**kwargs)
 
 
 def _full_grid_minimum(dtp: float, dtl: float) -> float:
