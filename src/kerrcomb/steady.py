@@ -25,9 +25,12 @@ The drive curve F²(x) along the pair line depends on (Δ̃_p, Δ̃_L) alone.
 parametric_branch samples it once per (sign, Δ̃_p, Δ̃_L) and shares that
 scan between calls, so the threshold search, and the amplitude cells of
 a sweep row, scan each branch once. Each cached scan also carries the
-range of F² its y > 0 steps can bracket; a branch whose range excludes
-F² skips the bracket search, which on such a branch finds nothing
-(docs/derivation.md, "Steady states").
+range of F² its y > 0 steps can bracket, and the F² bounds of each
+step. A branch whose range excludes F² skips the bracket search, which
+on such a branch finds nothing, and the search tests only the steps
+whose bounds hold F² (docs/derivation.md, "Steady states"). threshold
+starts from the least F² on a 20,000-point grid in x, which it builds
+and scans a cache-sized block at a time.
 
 Since a₋ = a₊ on every parametric state, the three-mode linearization
 splits exactly under the signal/idler exchange. The antisymmetric pair
@@ -43,7 +46,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,6 +69,7 @@ _MAX_ITER = 100
 _SCAN_POINTS = 1200  # samples per square-root branch in parametric_branch
 _THRESHOLD_F_SQ_MAX = 400.0  # threshold reports exists = False above F = 20
 _THRESHOLD_SCAN_POINTS = 20000
+_THRESHOLD_BLOCK = 4096  # grid samples per block of _least_drive_sq
 
 
 class NoConvergenceError(RuntimeError):
@@ -166,6 +170,13 @@ def _check_finite(**values: float) -> None:
         raise ValueError(f"{', '.join(bad)} must be finite")
 
 
+def _check_pair_detuning(dtl: float) -> None:
+    """Raise ValueError when dtl² overflows (|dtl| ≳ 1.34e154), which the
+    bounds of the y > 0 interval on the gain-balance line take."""
+    if math.isinf(dtl * dtl):
+        raise ValueError("dtl is too large: its square overflows")
+
+
 def _pump_only_psi(dtp: float, x: float) -> float:
     """Pump phase lag: tan ψ = (Δ̃_p − x) with cos ψ ∝ 1."""
     return math.atan2(dtp - x, 1.0)
@@ -220,14 +231,18 @@ def _symmetric_block(x: float, y: float, phi: float, dtp: float,
     h = cmath.exp(0.5j * phi)
     g = 2.0 * math.sqrt(2.0 * x * y)
     h2 = h * h
-    pump = (-1.0 + 1j * (2.0 * x + 4.0 * y - dtp), 1j * (x + 2.0 * y * h2),
-            2j * g * h.real, 1j * g * h)
-    pair = (2j * g * h.real, 1j * g * h,
-            -1.0 + 1j * (2.0 * x + 6.0 * y - dtl), 1j * (x + 3.0 * y * h2))
-    block = np.array([pump, pump, pair, pair])
+    pp = -1.0 + 1j * (2.0 * x + 4.0 * y - dtp)
+    pq = 1j * (x + 2.0 * y * h2)
+    sp = 2j * g * h.real
+    sq = 1j * g * h
+    ss = -1.0 + 1j * (2.0 * x + 6.0 * y - dtl)
+    st = 1j * (x + 3.0 * y * h2)
     # daggered rows: conjugate, with the p/p† and S/S† columns swapped
-    block[1::2] = np.conj(block[0::2][:, [1, 0, 3, 2]])
-    return block
+    return np.array([
+        [pp, pq, sp, sq],
+        [pq.conjugate(), pp.conjugate(), sq.conjugate(), sp.conjugate()],
+        [sp, sq, ss, st],
+        [sq.conjugate(), sp.conjugate(), st.conjugate(), ss.conjugate()]])
 
 
 def _pair_system(x: float, y: float, f_norm: float, dtp: float,
@@ -251,7 +266,13 @@ def _pair_system(x: float, y: float, f_norm: float, dtp: float,
 
 def _polish_pair(x: float, y: float, f_norm: float, dtp: float,
                  dtl: float) -> tuple[float, float]:
-    """Damped Newton on the two-equation residual."""
+    """Damped Newton on the two-equation residual.
+
+    Newton returns as soon as both residuals are below _RESIDUAL_TOL.
+    Where it stalls instead, its end point is accepted with the drive
+    residual taken relative to max(F², 1), since rounding alone puts
+    x(g² + h²) − F² near 1e-8 once F² nears 1e5.
+    """
     for _ in range(_MAX_ITER):
         r1, r2, (j11, j12, j21, j22) = _pair_system(x, y, f_norm, dtp, dtl)
         if abs(r1) < _RESIDUAL_TOL and abs(r2) < _RESIDUAL_TOL:
@@ -270,7 +291,8 @@ def _polish_pair(x: float, y: float, f_norm: float, dtp: float,
         if math.hypot(scale * dx, scale * dy) < _STEP_TOL:
             break
     r1, r2, _ = _pair_system(x, y, f_norm, dtp, dtl)
-    if abs(r1) < _RESIDUAL_TOL and abs(r2) < _RESIDUAL_TOL:
+    if abs(r1) < _RESIDUAL_TOL and abs(r2) < _RESIDUAL_TOL * max(
+            f_norm * f_norm, 1.0):
         return x, y
     raise NoConvergenceError(
         f"pair root polishing stalled at residuals ({r1:.3e}, {r2:.3e})")
@@ -313,10 +335,9 @@ def _drive_sq(xs: np.ndarray, ys: np.ndarray, dtp: float,
 
     With t = 2y/x, F² = x(g² + h²) for g = 1 + t and
     h = Δ̃_p − x − t(Δ̃_L − 3y). The steps run in place, so that few
-    arrays the size of threshold's 20,000-point grid are alive at once
-    (each fresh one is paged in anew). _bracket_root computes the same
-    operations on floats in the same order, up to swapped operands of
-    + and ×, so both give the same bits.
+    arrays of the input's size are alive at once. _bracket_root computes
+    the same operations on floats in the same order, up to swapped
+    operands of + and ×, so both give the same bits.
     """
     t = 2.0 * ys
     t /= xs
@@ -341,9 +362,11 @@ def _bracket_root(lo: float, hi: float, side: float, f_sq: float,
     inlined: it stops at the first step that changes neither end, and
     x₀ is the midpoint of the final [lo, hi].
     """
+    sqrt = math.sqrt
     for step in range(61):
         x = 0.5 * (lo + hi)
-        y = (dtl - 2.0 * x - sign * math.sqrt(max(x * x - 1.0, 0.0))) / 3.0
+        r = x * x - 1.0  # never −0.0, so this is max(r, 0.0)
+        y = (dtl - 2.0 * x - sign * sqrt(r if r > 0.0 else 0.0)) / 3.0
         if step == 60:
             break
         t = 2.0 * y / x
@@ -360,11 +383,46 @@ def _bracket_root(lo: float, hi: float, side: float, f_sq: float,
     return x, y
 
 
-@functools.lru_cache(maxsize=8)  # ~20 KB per entry
+def _step_bounds(curve: np.ndarray,
+                 pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The F² bounds of a scan's steps and their range (f_lo, f_hi).
+
+    The bounds are two rows (lo, hi), the least and the greatest of each
+    step's two samples, NaN left out, and (inf, −inf) where ``pair`` is
+    False; the range is the least lo and the greatest hi.
+    """
+    left, right = curve[:-1], curve[1:]
+    bounds = np.where(pair, [np.fmin(left, right), np.fmax(left, right)],
+                      [[math.inf], [-math.inf]])
+    return bounds, np.array([np.fmin.reduce(bounds[0], initial=math.inf),
+                             np.fmax.reduce(bounds[1], initial=-math.inf)])
+
+
+def _brackets(curve: np.ndarray, bounds: np.ndarray,
+              f_sq: float) -> list[tuple[int, float]]:
+    """(i, c_i − F²) for each step i of a scan that brackets F².
+
+    A step brackets F² when it is a y > 0 step and c_i − F² is 0 or has
+    the opposite sign to c_{i+1} − F². Either way F² lies within the
+    step's ``bounds``, so only those steps are tested, on floats, with
+    the bits of the array test.
+    """
+    out = []
+    for i in np.flatnonzero((bounds[0] <= f_sq) & (f_sq <= bounds[1])
+                            ).tolist():
+        left = float(curve[i]) - f_sq
+        if left == 0.0 or left * (float(curve[i + 1]) - f_sq) < 0.0:
+            out.append((i, left))
+    return out
+
+
+@functools.lru_cache(maxsize=8)  # ~40 KB per entry
 def _branch_scan(sign: float, dtp: float, dtl: float,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                            np.ndarray]:
     """The sweep of one sign branch over its y > 0 interval: x, F², the
-    y > 0 steps and the F² range those steps can bracket; needs dtl > √3.
+    y > 0 steps, the F² range those steps can bracket and the F² bounds
+    of each step; needs dtl > √3.
 
     y > 0 confines x between the roots x_dn < x_up of
     3x² − 4·dtl·x + (dtl² + 1): branch u = +√(x²−1) lives on [1, x_dn),
@@ -374,10 +432,11 @@ def _branch_scan(sign: float, dtp: float, dtl: float,
     interval has no steps.
 
     The third array marks the steps whose both ends have y > 0. The
-    fourth is (f_lo, f_hi): the least and the greatest F² sample at the
-    ends of those steps, NaN samples left out, or (inf, −inf) when there
-    are none. A bracket at step i has F² between its two samples, so no
-    F² outside [f_lo, f_hi] has one. The scan does not depend on F, so
+    fourth is (f_lo, f_hi), the least and the greatest F² sample at the
+    ends of those steps, and the fifth the F² bounds of each step, both
+    from _step_bounds. A bracket at step i has F² between its two
+    samples, so only a step whose bounds hold F² can have one, and no F²
+    outside [f_lo, f_hi] has one. The scan does not depend on F, so
     calls at one (Δ̃_p, Δ̃_L) share it; the arrays are read-only.
     """
     s3 = math.sqrt(dtl * dtl - 3.0)
@@ -389,14 +448,10 @@ def _branch_scan(sign: float, dtp: float, dtl: float,
     curve = _drive_sq(xs, ys, dtp, dtl)
     pos = ys > 0.0
     pair = pos[:-1] & pos[1:]
-    f_range = np.array([
-        np.fmin.reduce(np.fmin(curve[:-1], curve[1:]), where=pair,
-                       initial=math.inf),
-        np.fmax.reduce(np.fmax(curve[:-1], curve[1:]), where=pair,
-                       initial=-math.inf)])
-    for arr in (xs, curve, pair, f_range):
+    bounds, f_range = _step_bounds(curve, pair)
+    for arr in (xs, curve, pair, f_range, bounds):
         arr.flags.writeable = False
-    return xs, curve, pair, f_range
+    return xs, curve, pair, f_range, bounds
 
 
 def parametric_branch(f_norm: float, dtp: float,
@@ -411,9 +466,11 @@ def parametric_branch(f_norm: float, dtp: float,
     can bracket, and a branch whose range excludes F² is not searched.
     A root is stable when u < 0 and its exchange-symmetric block is
     Hurwitz; the antisymmetric sector, free phase split included, is
-    {0, −2} for every root. A NaN or infinite argument is a ValueError.
+    {0, −2} for every root. A NaN or infinite argument, or a Δ̃_L whose
+    square overflows, is a ValueError.
     """
     _check_finite(f_norm=f_norm, dtp=dtp, dtl=dtl)
+    _check_pair_detuning(dtl)
     if f_norm <= 0:
         return []
     if dtl <= math.sqrt(3.0):
@@ -422,16 +479,13 @@ def parametric_branch(f_norm: float, dtp: float,
     f_sq = f_norm * f_norm
     solutions: list[tuple[float, float]] = []
     for sign in (+1.0, -1.0):
-        xs, curve, pair, (f_lo, f_hi) = _branch_scan(sign, dtp, dtl)
+        xs, curve, _, (f_lo, f_hi), bounds = _branch_scan(sign, dtp, dtl)
         if not f_lo <= f_sq <= f_hi:
             continue  # no step can bracket F²
-        resid = curve - f_sq
-        brackets = pair & (
-            (resid[:-1] == 0.0) | (resid[:-1] * resid[1:] < 0.0))
-        for i in np.flatnonzero(brackets):
+        for i, left in _brackets(curve, bounds, f_sq):
             # bisect the bracket on this branch, then polish in 2-D
-            x0, y0 = _bracket_root(float(xs[i]), float(xs[i + 1]),
-                                   float(resid[i]), f_sq, sign, dtp, dtl)
+            x0, y0 = _bracket_root(float(xs[i]), float(xs[i + 1]), left,
+                                   f_sq, sign, dtp, dtl)
             if y0 <= 0.0:
                 continue
             x, y = _polish_pair(x0, y0, f_norm, dtp, dtl)
@@ -461,27 +515,43 @@ def parametric_branch(f_norm: float, dtp: float,
     return states
 
 
+def _threshold_grid(stop: float) -> Iterator[np.ndarray]:
+    """np.linspace(1.0, stop, _THRESHOLD_SCAN_POINTS) in blocks of at
+    most _THRESHOLD_BLOCK samples, in linspace's own arithmetic: sample
+    k is k·step + 1.0, and the last one is ``stop``."""
+    n = _THRESHOLD_SCAN_POINTS
+    step = (stop - 1.0) / (n - 1)
+    for k in range(0, n, _THRESHOLD_BLOCK):
+        xs = np.arange(k, min(k + _THRESHOLD_BLOCK, n), dtype=float)
+        xs *= step
+        xs += 1.0
+        if k + _THRESHOLD_BLOCK >= n:
+            xs[-1] = stop
+        yield xs
+
+
 def _least_drive_sq(dtp: float, dtl: float) -> float:
     """Least positive F² over the y > 0 samples of both sign branches on
     threshold's x grid, or inf when there is none; needs dtl > √3.
 
-    F² is evaluated only where y > 0. Elementwise arithmetic gives the
-    same bits on a subset, so this is the minimum over the full grid
-    with the y ≤ 0 samples masked out.
+    The grid is taken a block at a time (_threshold_grid), so each
+    block's arrays stay small enough to be reused rather than paged in
+    afresh. F² is evaluated only where y > 0. Elementwise arithmetic
+    gives the same bits on a subset, and the least of the block minima
+    is the global one, so this is the minimum over the full grid with
+    the y ≤ 0 samples masked out.
     """
     # y > 0 confines x between the roots of 3x² − 4·dtl·x + dtl² + 1
     x_top = (2.0 * dtl + math.sqrt(dtl * dtl - 3.0)) / 3.0
-    xs = np.linspace(1.0, min(x_top, _THRESHOLD_F_SQ_MAX) + 1.0,
-                     _THRESHOLD_SCAN_POINTS)
-    root = np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
     best = math.inf
-    for sign in (+1.0, -1.0):
-        ys = _pair_power(xs, sign, dtl, root)
-        pos = ys > 0.0
-        f_sq = _drive_sq(xs[pos], ys[pos], dtp, dtl)
-        f_sq = f_sq[f_sq > 0.0]  # NaN fails the test too
-        if f_sq.size:
-            best = min(best, float(np.min(f_sq)))
+    for xs in _threshold_grid(min(x_top, _THRESHOLD_F_SQ_MAX) + 1.0):
+        root = np.sqrt(np.maximum(xs * xs - 1.0, 0.0))
+        for sign in (+1.0, -1.0):
+            ys = _pair_power(xs, sign, dtl, root)
+            pos = ys > 0.0
+            f_sq = _drive_sq(xs[pos], ys[pos], dtp, dtl)
+            # NaN fails the test too
+            best = float(np.min(f_sq, where=f_sq > 0.0, initial=best))
     return best
 
 
@@ -499,9 +569,10 @@ def threshold(dtp: float, dtl: float) -> ThresholdReport:
     holds is this: the returned F is a float at which parametric_branch
     finds a root, and at the float just below it finds none. Reports
     exists = False when no root is found up to F = 20. A NaN or infinite
-    detuning is a ValueError.
+    detuning, or a Δ̃_L whose square overflows, is a ValueError.
     """
     _check_finite(dtp=dtp, dtl=dtl)
+    _check_pair_detuning(dtl)
     if dtl <= math.sqrt(3.0):
         return ThresholdReport(f_threshold=math.nan, exists=False)
     best = _least_drive_sq(dtp, dtl)

@@ -45,6 +45,7 @@ _STEADY = "src/kerrcomb/steady.py"
 _CLI = "src/kerrcomb/cli.py"
 _SVG = "src/kerrcomb/svg.py"
 _WRITERS = "tests/test_bundle_writers.py"
+_KERNELS = "tests/test_threshold_kernels.py"
 
 MUTANTS = (
     # the bracket search moves lo on a zero product: a step whose left
@@ -65,8 +66,8 @@ MUTANTS = (
     # threshold's curve minimum takes samples with y = 0, which lie on
     # the pump-only cubic and not on a parametric state
     Mutant("threshold-minimum-takes-y-zero", _STEADY,
-           old="        pos = ys > 0.0\n        f_sq = _drive_sq(",
-           new="        pos = ys >= 0.0\n        f_sq = _drive_sq(",
+           old="            pos = ys > 0.0\n            f_sq = _drive_sq(",
+           new="            pos = ys >= 0.0\n            f_sq = _drive_sq(",
            tests=("tests/test_steady.py::TestThresholdMinimum::"
                   "test_y_positive_subset_changes_no_bit",)),
     # the cached F² range drops its lower end, where a bracket can sit
@@ -75,6 +76,25 @@ MUTANTS = (
            new="if not f_lo < f_sq <= f_hi:",
            tests=("tests/test_steady.py::TestScanRange::"
                   "test_range_ends_are_searched",)),
+    # threshold's blockwise grid ends on k·step + 1.0, not on stop
+    Mutant("threshold-grid-end-not-stop", _STEADY,
+           old="            xs[-1] = stop\n",
+           new="            pass\n",
+           tests=(f"{_KERNELS}::test_threshold_grid_is_linspace",)),
+    # a step whose bound equals F² is not searched: a left sample equal
+    # to F² no longer brackets it
+    Mutant("step-bounds-strict", _STEADY,
+           old="(bounds[0] <= f_sq) & (f_sq <= bounds[1])",
+           new="(bounds[0] < f_sq) & (f_sq <= bounds[1])",
+           tests=(f"{_KERNELS}::"
+                  "test_bracket_selection_bit_identical_to_reference",)),
+    # the step bounds take NaN in: a left sample equal to F² beside a
+    # NaN one no longer brackets it
+    Mutant("step-bounds-propagate-nan", _STEADY,
+           old="[np.fmin(left, right), np.fmax(left, right)]",
+           new="[np.minimum(left, right), np.maximum(left, right)]",
+           tests=(f"{_KERNELS}::"
+                  "test_bracket_selection_bit_identical_to_reference",)),
     # every parametric root is called stable
     Mutant("every-parametric-root-stable", _STEADY,
            old="        stable = u < 0.0 and bool(",
@@ -158,6 +178,16 @@ MUTANTS = (
                   "test_symmetric_block_matches_finite_differences",
                   "tests/test_steady.py::TestParametric::"
                   "test_stability_split")),
+    # the daggered pump row keeps the p/p† and S/S† columns unswapped
+    Mutant("symmetric-block-dagger-unswapped", _STEADY,
+           old="[pq.conjugate(), pp.conjugate(), sq.conjugate(), "
+               "sp.conjugate()]",
+           new="[pp.conjugate(), pq.conjugate(), sp.conjugate(), "
+               "sq.conjugate()]",
+           tests=(f"{_KERNELS}::"
+                  "test_symmetric_block_bit_identical_to_reference",
+                  "tests/test_steady.py::TestParametric::"
+                  "test_symmetric_block_matches_finite_differences")),
     # the pump-only fold no longer marks its double root unstable: the
     # middle index is called unstable at both folds
     Mutant("fold-double-root-unlabelled", _STEADY,
@@ -176,6 +206,19 @@ MUTANTS = (
                   "test_non_finite_input_is_refused_by_name",
                   "tests/test_steady.py::TestScanRange::"
                   "test_nan_drive_is_refused")),
+    # the polish accepts a root only at an absolute drive residual, so
+    # converged roots at large F raise NoConvergenceError
+    Mutant("polish-drive-residual-absolute", _STEADY,
+           old="_RESIDUAL_TOL * max(\n            f_norm * f_norm, 1.0)",
+           new="_RESIDUAL_TOL * max(\n            1.0, 1.0)",
+           tests=("tests/test_steady.py::TestParametric::"
+                  "test_large_drive_roots_are_accepted",)),
+    # a Δ̃_L whose square overflows reaches the scans
+    Mutant("steady-overflow-guard-dropped", _STEADY,
+           old="    if math.isinf(dtl * dtl):\n",
+           new="    if False:\n",
+           tests=("tests/test_steady.py::"
+                  "test_overflowing_pair_detuning_is_refused",)),
     # one cached scan: the two sign branches evict each other on every
     # parametric_branch call, so each call builds both scans anew
     Mutant("branch-scan-cache-of-one", _STEADY,

@@ -535,6 +535,15 @@ class TestCli:
         assert err.startswith("cell errors: 1 (marked MI)")
         assert err.endswith("NoConvergenceError: stalled")
 
+    def test_overflowing_pair_detuning_exits_1(self, tmp_path, capsys):
+        code = main(["steady", "--f-norm", "1", "--dtp", "0", "--dtl",
+                     "1e155", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "computation error: ValueError: dtl is too large: its square "
+            "overflows\n")
+        assert not (tmp_path / "o").exists()
+
     def test_steady_json_branches(self, tmp_path):
         code = main(["steady", "--f-norm", "1.6", "--dtp", "2.4",
                      "--dtl", "2.4", "--out", str(tmp_path / "o")])

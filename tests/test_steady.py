@@ -177,6 +177,17 @@ class TestParametric:
         r1, r2, _ = steady._pair_system(x, y, f, dtp, dtl)
         assert max(abs(r1), abs(r2)) < 1e-9
 
+    def test_large_drive_roots_are_accepted(self):
+        # F² ≈ 3.5e5: rounding alone leaves the drive residual
+        # x(g² + h²) − F² near 1e-8, above an absolute 1e-9
+        f, dtp, dtl = 591.69, 4.3219, 514.03
+        roots = parametric_branch(f, dtp, dtl)
+        assert len(roots) == 2
+        for s in roots:
+            r1, r2, _ = steady._pair_system(s.ap2, s.a2, f, dtp, dtl)
+            assert abs(r1) < 1e-9 and 1e-9 < abs(r2) < 1e-9 * f * f
+            assert ode_residual(s, f, dtp, dtl) < 1e-10
+
     def test_phases_are_consistent(self):
         for s in parametric_branch(1.6, 2.4, 2.4):
             assert math.sin(s.phi) == pytest.approx(1.0 / s.ap2, abs=1e-9)
@@ -327,7 +338,7 @@ def _branch_kinds(drives) -> set[tuple[float, bool]]:
     for _, dtp, dtl in drives:
         for sign in (1.0, -1.0):
             if dtl > SQRT3:
-                xs, _, pair, _ = steady._branch_scan(sign, dtp, dtl)
+                xs, _, pair, _, _ = steady._branch_scan(sign, dtp, dtl)
                 if pair.any():
                     kinds.add((sign, bool(xs[0] == 1.0)))
     return kinds
@@ -349,9 +360,9 @@ def _with_and_without_range(monkeypatch, drive):
     ranges = {}
 
     def widened(*args):
-        xs, curve, pair, f_range = scan(*args)
+        xs, curve, pair, f_range, bounds = scan(*args)
         ranges[args[0]] = tuple(f_range)
-        return xs, curve, pair, np.array([-math.inf, math.inf])
+        return xs, curve, pair, np.array([-math.inf, math.inf]), bounds
 
     checked = _outcome(drive)
     with monkeypatch.context() as patch:
@@ -433,7 +444,8 @@ class TestScanRange:
                         monkeypatch, (f, dtp, dtl))
                     assert read[sign] == f_range
                     assert checked == unchecked, (kind, f, dtp, dtl)
-                    _, curve, pair, _ = steady._branch_scan(sign, dtp, dtl)
+                    _, curve, pair, _, _ = steady._branch_scan(sign, dtp,
+                                                               dtl)
                     resid = curve - f * f
                     seen[kind] += 1
                     bracketed[kind] += bool(np.any(pair & (
@@ -480,7 +492,7 @@ def brackets():
             for sign, (f_lo, f_hi) in ranges.items():
                 if not f_lo <= f_hi:
                     continue  # no y > 0 step on this branch
-                xs, curve, pair, _ = steady._branch_scan(sign, dtp, dtl)
+                xs, curve, pair, _, _ = steady._branch_scan(sign, dtp, dtl)
                 sample = curve[rng.choice(np.flatnonzero(pair))]
                 for f_sq in (f * f, rng.uniform(f_lo, f_hi), sample):
                     resid = curve - f_sq
@@ -650,6 +662,24 @@ def test_non_finite_input_is_refused_by_name(func, name, bad):
     kwargs[name] = bad
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         func(**kwargs)
+
+
+@pytest.mark.parametrize("dtl", [1.35e154, -1e155, 1e300])
+@pytest.mark.parametrize("func, args", [(parametric_branch, (1.0, 0.0)),
+                                        (parametric_branch, (0.0, 0.0)),
+                                        (threshold, (0.0,))],
+                         ids=["branch", "branch-dark", "threshold"])
+def test_overflowing_pair_detuning_is_refused(func, args, dtl, monkeypatch):
+    # Δ̃_L² overflows: refused by name before any array is built
+    def touched(*a):
+        raise AssertionError("a scan was built")
+
+    monkeypatch.setattr(steady, "_branch_scan", touched)
+    monkeypatch.setattr(steady, "_least_drive_sq", touched)
+    assert math.isinf(dtl * dtl)
+    with pytest.raises(ValueError,
+                       match="^dtl is too large: its square overflows$"):
+        func(*args, dtl)
 
 
 def _full_grid_minimum(dtp: float, dtl: float) -> float:
