@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .model import C_VACUUM, ModalFamily, ResonatorSpec
+from .phases import EPSILON_NE, MI_MARGIN_CELLS
 
 __all__ = [
     "ConfigError",
@@ -64,8 +65,8 @@ class ValidationError(ConfigError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    epsilon_ne: float = 1e-3
-    mi_margin_cells: int = 2
+    epsilon_ne: float = EPSILON_NE
+    mi_margin_cells: int = MI_MARGIN_CELLS
     truncation_order: int = 3
 
     def __post_init__(self) -> None:

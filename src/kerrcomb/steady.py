@@ -29,8 +29,9 @@ range of F² its y > 0 steps can bracket, and the F² bounds of each
 step. A branch whose range excludes F² skips the bracket search, which
 on such a branch finds nothing, and the search tests only the steps
 whose bounds hold F² (docs/derivation.md, "Steady states"). threshold
-starts from the least F² on a 20,000-point grid in x, which it builds
-and scans a cache-sized block at a time.
+probes for a root just above the least F² on a 20,000-point grid in x,
+which it builds and scans a cache-sized block at a time, and bisects
+down to the least F² the two cached scans can bracket.
 
 Since a₋ = a₊ on every parametric state, the three-mode linearization
 splits exactly under the signal/idler exchange. The antisymmetric pair
@@ -70,6 +71,9 @@ _SCAN_POINTS = 1200  # samples per square-root branch in parametric_branch
 _THRESHOLD_F_SQ_MAX = 400.0  # threshold reports exists = False above F = 20
 _THRESHOLD_SCAN_POINTS = 20000
 _THRESHOLD_BLOCK = 4096  # grid samples per block of _least_drive_sq
+# largest |F|, |Δ̃_p| and |Δ̃_L| the solvers take: the arithmetic
+# overflows from |Δ̃_p| ≈ 7e51 (docs/derivation.md, "Steady states")
+_INPUT_LIMIT = 1e50
 
 
 class NoConvergenceError(RuntimeError):
@@ -163,18 +167,16 @@ def _cubic_roots(dtp: float, f_sq: float) -> list[float]:
     return out
 
 
-def _check_finite(**values: float) -> None:
-    """Raise ValueError naming every argument that is NaN or infinite."""
-    bad = [name for name, value in values.items() if not math.isfinite(value)]
+def _check_inputs(**values: float) -> None:
+    """Raise ValueError naming every argument that is NaN or infinite,
+    else every one whose magnitude exceeds _INPUT_LIMIT."""
+    bad = [name for name, value in values.items()
+           if not -_INPUT_LIMIT <= value <= _INPUT_LIMIT]
     if bad:
-        raise ValueError(f"{', '.join(bad)} must be finite")
-
-
-def _check_pair_detuning(dtl: float) -> None:
-    """Raise ValueError when dtl² overflows (|dtl| ≳ 1.34e154), which the
-    bounds of the y > 0 interval on the gain-balance line take."""
-    if math.isinf(dtl * dtl):
-        raise ValueError("dtl is too large: its square overflows")
+        nonfinite = [name for name in bad if not math.isfinite(values[name])]
+        raise ValueError(f"{', '.join(nonfinite)} must be finite" if nonfinite
+                         else f"{', '.join(bad)} must be at most "
+                              f"{_INPUT_LIMIT:g} in magnitude")
 
 
 def _pump_only_psi(dtp: float, x: float) -> float:
@@ -189,9 +191,10 @@ def pump_only_branches(f_norm: float, dtp: float) -> list[SteadyState]:
     rule, dF²/dx > 0: the middle of three roots (the back-bend) and the
     double root of two (a fold, marginal) are unstable, so the lowest
     root is stable except at the upper fold. Parametric instability of
-    these states is the business of the fluctuation matrix.
+    these states is the business of the fluctuation matrix. A NaN or
+    infinite argument, or one past ±_INPUT_LIMIT, is a ValueError.
     """
-    _check_finite(f_norm=f_norm, dtp=dtp)
+    _check_inputs(f_norm=f_norm, dtp=dtp)
     if f_norm < 0:
         raise ValueError("f_norm must be nonnegative")
     roots = _cubic_roots(dtp, f_norm * f_norm)
@@ -418,11 +421,10 @@ def _brackets(curve: np.ndarray, bounds: np.ndarray,
 
 @functools.lru_cache(maxsize=8)  # ~40 KB per entry
 def _branch_scan(sign: float, dtp: float, dtl: float,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                            np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The sweep of one sign branch over its y > 0 interval: x, F², the
-    y > 0 steps, the F² range those steps can bracket and the F² bounds
-    of each step; needs dtl > √3.
+    F² range its y > 0 steps can bracket and the F² bounds of each step;
+    needs dtl > √3.
 
     y > 0 confines x between the roots x_dn < x_up of
     3x² − 4·dtl·x + (dtl² + 1): branch u = +√(x²−1) lives on [1, x_dn),
@@ -431,10 +433,10 @@ def _branch_scan(sign: float, dtp: float, dtl: float,
     adaptive and catches crossings that hug the y = 0 boundary; an empty
     interval has no steps.
 
-    The third array marks the steps whose both ends have y > 0. The
-    fourth is (f_lo, f_hi), the least and the greatest F² sample at the
-    ends of those steps, and the fifth the F² bounds of each step, both
-    from _step_bounds. A bracket at step i has F² between its two
+    A y > 0 step has y > 0 at both ends. The third array is (f_lo,
+    f_hi), the least and the greatest F² sample at the ends of those
+    steps, and the fourth the F² bounds of each step, both from
+    _step_bounds. A bracket at step i has F² between its two
     samples, so only a step whose bounds hold F² can have one, and no F²
     outside [f_lo, f_hi] has one. The scan does not depend on F, so
     calls at one (Δ̃_p, Δ̃_L) share it; the arrays are read-only.
@@ -449,9 +451,9 @@ def _branch_scan(sign: float, dtp: float, dtl: float,
     pos = ys > 0.0
     pair = pos[:-1] & pos[1:]
     bounds, f_range = _step_bounds(curve, pair)
-    for arr in (xs, curve, pair, f_range, bounds):
+    for arr in (xs, curve, f_range, bounds):
         arr.flags.writeable = False
-    return xs, curve, pair, f_range, bounds
+    return xs, curve, f_range, bounds
 
 
 def parametric_branch(f_norm: float, dtp: float,
@@ -466,11 +468,10 @@ def parametric_branch(f_norm: float, dtp: float,
     can bracket, and a branch whose range excludes F² is not searched.
     A root is stable when u < 0 and its exchange-symmetric block is
     Hurwitz; the antisymmetric sector, free phase split included, is
-    {0, −2} for every root. A NaN or infinite argument, or a Δ̃_L whose
-    square overflows, is a ValueError.
+    {0, −2} for every root. A NaN or infinite argument, or one past
+    ±_INPUT_LIMIT, is a ValueError.
     """
-    _check_finite(f_norm=f_norm, dtp=dtp, dtl=dtl)
-    _check_pair_detuning(dtl)
+    _check_inputs(f_norm=f_norm, dtp=dtp, dtl=dtl)
     if f_norm <= 0:
         return []
     if dtl <= math.sqrt(3.0):
@@ -479,7 +480,7 @@ def parametric_branch(f_norm: float, dtp: float,
     f_sq = f_norm * f_norm
     solutions: list[tuple[float, float]] = []
     for sign in (+1.0, -1.0):
-        xs, curve, _, (f_lo, f_hi), bounds = _branch_scan(sign, dtp, dtl)
+        xs, curve, (f_lo, f_hi), bounds = _branch_scan(sign, dtp, dtl)
         if not f_lo <= f_sq <= f_hi:
             continue  # no step can bracket F²
         for i, left in _brackets(curve, bounds, f_sq):
@@ -560,46 +561,40 @@ def threshold(dtp: float, dtl: float) -> ThresholdReport:
 
     The drive equation along the gain-balance line gives the attainable
     F² values directly. The search takes the least of them on a
-    20,000-point x grid, probes just above it for a root, walks down
-    until there is none, and bisects that edge on parametric_branch
-    existence. The grid can step over a narrow existence window, and
-    parametric_branch's own scan over a narrow bracket, so the result
-    need not be the exact minimum of the drive curve, and a point can
-    report exists = False though a window opens below F = 20. What
+    20,000-point x grid, probes just above it for a root, and bisects
+    down to lo = √f_lo·(1 − 1e-6) on parametric_branch existence, f_lo
+    being the lesser of the two cached scans' least bracketable F². No
+    branch is searched at lo, since lo² lies below both scans' ranges,
+    so lo has no root. The grid can step over a narrow existence window,
+    and parametric_branch's own scan over a narrow bracket, so the
+    result need not be the exact minimum of the drive curve, and a point
+    can report exists = False though a window opens below F = 20. What
     holds is this: the returned F is a float at which parametric_branch
     finds a root, and at the float just below it finds none. Reports
     exists = False when no root is found up to F = 20. A NaN or infinite
-    detuning, or a Δ̃_L whose square overflows, is a ValueError.
+    detuning, or one past ±_INPUT_LIMIT, is a ValueError.
     """
-    _check_finite(dtp=dtp, dtl=dtl)
-    _check_pair_detuning(dtl)
+    _check_inputs(dtp=dtp, dtl=dtl)
     if dtl <= math.sqrt(3.0):
         return ThresholdReport(f_threshold=math.nan, exists=False)
     best = _least_drive_sq(dtp, dtl)
     if not math.isfinite(best) or best > _THRESHOLD_F_SQ_MAX:
         return ThresholdReport(f_threshold=math.nan, exists=False)
-
-    def exists_at(f: float) -> bool:
-        return bool(parametric_branch(f, dtp, dtl))
-
     # The existence set in F² is bounded on both sides, so probe just
     # above the curve minimum on a geometric ladder (stepping too far up
     # can overshoot a narrow window entirely), then bisect the edge.
     hi = None
     for eps in (1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2):
         cand = math.sqrt(best * (1.0 + eps))
-        if exists_at(cand):
+        if parametric_branch(cand, dtp, dtl):
             hi = cand
             break
     if hi is None:
         return ThresholdReport(f_threshold=math.nan, exists=False)
-    # Walk lo down until no root exists: 60 steps of 1e-4, then growing
-    # ones. F² ≥ x ≥ 1 on every parametric state, so it ends by F < 1.
-    lo, step, walked = math.sqrt(best) * (1.0 - 1e-6), 1e-4, 0
-    while exists_at(lo):
-        lo *= 1.0 - step
-        walked += 1
-        if walked >= 60:
-            step = min(2.0 * step, 0.5)
-    _, hi = _bisect(lo, hi, 80, lambda f: not exists_at(f))
+    # the probes cached both scans; F² ≥ x ≥ 1 keeps hi/lo below ~20
+    f_lo = min(_branch_scan(+1.0, dtp, dtl)[2][0],
+               _branch_scan(-1.0, dtp, dtl)[2][0])
+    lo = math.sqrt(f_lo) * (1.0 - 1e-6)
+    _, hi = _bisect(lo, hi, 80,
+                    lambda f: not parametric_branch(f, dtp, dtl))
     return ThresholdReport(f_threshold=hi, exists=True)

@@ -196,12 +196,11 @@ MUTANTS = (
            new="    if False:\n",
            tests=("tests/test_steady.py::TestPumpOnly::"
                   "test_fold_double_root_unstable",)),
-    # parametric_branch and threshold answer [] / exists=False for a
-    # NaN or infinite input instead of refusing it
+    # a NaN input slips past the bound (abs(nan) > limit is False), so
+    # parametric_branch and threshold answer [] / exists=False for it
     Mutant("steady-finite-guard-dropped", _STEADY,
-           old="        raise ValueError(f\"{', '.join(bad)} must be "
-               "finite\")",
-           new="        pass",
+           old="if not -_INPUT_LIMIT <= value <= _INPUT_LIMIT]",
+           new="if abs(value) > _INPUT_LIMIT]",
            tests=("tests/test_steady.py::"
                   "test_non_finite_input_is_refused_by_name",
                   "tests/test_steady.py::TestScanRange::"
@@ -213,12 +212,46 @@ MUTANTS = (
            new="_RESIDUAL_TOL * max(\n            1.0, 1.0)",
            tests=("tests/test_steady.py::TestParametric::"
                   "test_large_drive_roots_are_accepted",)),
-    # a Δ̃_L whose square overflows reaches the scans
+    # finite inputs past the bound reach the cubic and the scans
     Mutant("steady-overflow-guard-dropped", _STEADY,
-           old="    if math.isinf(dtl * dtl):\n",
-           new="    if False:\n",
+           old="if not -_INPUT_LIMIT <= value <= _INPUT_LIMIT]",
+           new="if not math.isfinite(value)]",
            tests=("tests/test_steady.py::"
-                  "test_overflowing_pair_detuning_is_refused",)),
+                  "test_inputs_past_the_limit_are_refused_by_name",)),
+    # a bound one float higher: the first refused float is answered
+    Mutant("steady-overflow-guard-open", _STEADY,
+           old="if not -_INPUT_LIMIT <= value <= _INPUT_LIMIT]",
+           new="if not -_INPUT_LIMIT <= value <= 1.0000000000000003e50]",
+           tests=("tests/test_steady.py::"
+                  "test_inputs_past_the_limit_are_refused_by_name",)),
+    # threshold's lower bracket from the plus branch's scan alone: where
+    # the minus branch brackets lower F², lo has a root
+    Mutant("threshold-lo-plus-branch-only", _STEADY,
+           old="    f_lo = min(_branch_scan(+1.0, dtp, dtl)[2][0],\n"
+               "               _branch_scan(-1.0, dtp, dtl)[2][0])\n",
+           new="    f_lo = _branch_scan(+1.0, dtp, dtl)[2][0]\n",
+           tests=("tests/test_steady.py::TestThreshold::"
+                  "test_same_bits_as_the_walk",
+                  "tests/test_steady.py::TestThreshold::"
+                  "test_edge_is_the_last_float_with_a_root")),
+    # ... and from the minus branch's alone
+    Mutant("threshold-lo-minus-branch-only", _STEADY,
+           old="    f_lo = min(_branch_scan(+1.0, dtp, dtl)[2][0],\n"
+               "               _branch_scan(-1.0, dtp, dtl)[2][0])\n",
+           new="    f_lo = _branch_scan(-1.0, dtp, dtl)[2][0]\n",
+           tests=("tests/test_steady.py::TestThreshold::"
+                  "test_same_bits_as_the_walk",
+                  "tests/test_steady.py::TestThreshold::"
+                  "test_edge_is_the_last_float_with_a_root")),
+    # threshold's lower bracket from the grid minimum, as the walk
+    # started: at WALK_PAST_60 roots remain below it, at lo itself
+    Mutant("threshold-lo-from-grid-minimum", _STEADY,
+           old="lo = math.sqrt(f_lo) * (1.0 - 1e-6)",
+           new="lo = math.sqrt(best) * (1.0 - 1e-6)",
+           tests=("tests/test_steady.py::TestThreshold::"
+                  "test_same_bits_as_the_walk",
+                  "tests/test_steady.py::TestThreshold::"
+                  "test_edge_is_the_last_float_with_a_root")),
     # one cached scan: the two sign branches evict each other on every
     # parametric_branch call, so each call builds both scans anew
     Mutant("branch-scan-cache-of-one", _STEADY,

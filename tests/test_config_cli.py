@@ -51,6 +51,15 @@ class TestConfig:
         with pytest.raises(ValidationError, match="intrinsic_fraction"):
             load_config(path)
 
+    def test_tolerances_default_to_the_phase_constants(self, tmp_path):
+        raw = json.loads(default_config_path().read_text())
+        del raw["tolerances"]
+        path = tmp_path / "no_tolerances.json"
+        path.write_text(json.dumps(raw))
+        tol = load_config(path).tolerances
+        assert tol.epsilon_ne == phases.EPSILON_NE
+        assert tol.mi_margin_cells == phases.MI_MARGIN_CELLS
+
     def test_unknown_keys_rejected(self, tmp_path):
         raw = json.loads(default_config_path().read_text())
         raw["resonator"]["families"][0]["mystery_knob"] = 1.0
@@ -540,8 +549,26 @@ class TestCli:
                      "1e155", "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "computation error: ValueError: dtl is too large: its square "
-            "overflows\n")
+            "computation error: ValueError: dtl must be at most 1e+50 in "
+            "magnitude\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, point, name", [
+        ("steady", ("1", "0", "1e150"), "dtl"),
+        ("steady", ("1e80", "0", "0"), "f_norm"),
+        ("steady", ("1", "1e52", "0"), "dtp"),
+        ("steady", ("1e160", "0", "0"), "f_norm"),
+        ("duan", ("1e160", "0", "0"), "f_norm"),
+        ("spectrum", ("1e160", "0", "0"), "f_norm")])
+    def test_overflowing_drive_exits_1(self, tmp_path, capsys, command,
+                                       point, name):
+        flags = [f for pair in zip(("--f-norm", "--dtp", "--dtl"), point)
+                 for f in pair]
+        code = main([command, *flags, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"computation error: ValueError: {name} must be at most 1e+50 "
+            "in magnitude\n")
         assert not (tmp_path / "o").exists()
 
     def test_steady_json_branches(self, tmp_path):

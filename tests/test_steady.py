@@ -331,6 +331,12 @@ class TestParametric:
 ALL_BRANCH_KINDS = {(1.0, True), (-1.0, True), (-1.0, False)}
 
 
+def _pair_steps(xs: np.ndarray, sign: float, dtl: float) -> np.ndarray:
+    """The y > 0 steps of a scan at xs: those with y > 0 at both ends."""
+    pos = steady._pair_power(xs, sign, dtl) > 0.0
+    return pos[:-1] & pos[1:]
+
+
 def _branch_kinds(drives) -> set[tuple[float, bool]]:
     """(sign, starts at 1) of each branch scan with a y > 0 step that
     parametric_branch reads at ``drives``."""
@@ -338,8 +344,8 @@ def _branch_kinds(drives) -> set[tuple[float, bool]]:
     for _, dtp, dtl in drives:
         for sign in (1.0, -1.0):
             if dtl > SQRT3:
-                xs, _, pair, _, _ = steady._branch_scan(sign, dtp, dtl)
-                if pair.any():
+                xs, _, _, _ = steady._branch_scan(sign, dtp, dtl)
+                if _pair_steps(xs, sign, dtl).any():
                     kinds.add((sign, bool(xs[0] == 1.0)))
     return kinds
 
@@ -360,9 +366,9 @@ def _with_and_without_range(monkeypatch, drive):
     ranges = {}
 
     def widened(*args):
-        xs, curve, pair, f_range, bounds = scan(*args)
+        xs, curve, f_range, bounds = scan(*args)
         ranges[args[0]] = tuple(f_range)
-        return xs, curve, pair, np.array([-math.inf, math.inf]), bounds
+        return xs, curve, np.array([-math.inf, math.inf]), bounds
 
     checked = _outcome(drive)
     with monkeypatch.context() as patch:
@@ -444,8 +450,8 @@ class TestScanRange:
                         monkeypatch, (f, dtp, dtl))
                     assert read[sign] == f_range
                     assert checked == unchecked, (kind, f, dtp, dtl)
-                    _, curve, pair, _, _ = steady._branch_scan(sign, dtp,
-                                                               dtl)
+                    xs, curve, _, _ = steady._branch_scan(sign, dtp, dtl)
+                    pair = _pair_steps(xs, sign, dtl)
                     resid = curve - f * f
                     seen[kind] += 1
                     bracketed[kind] += bool(np.any(pair & (
@@ -492,7 +498,8 @@ def brackets():
             for sign, (f_lo, f_hi) in ranges.items():
                 if not f_lo <= f_hi:
                     continue  # no y > 0 step on this branch
-                xs, curve, pair, _, _ = steady._branch_scan(sign, dtp, dtl)
+                xs, curve, _, _ = steady._branch_scan(sign, dtp, dtl)
+                pair = _pair_steps(xs, sign, dtl)
                 sample = curve[rng.choice(np.flatnonzero(pair))]
                 for f_sq in (f * f, rng.uniform(f_lo, f_hi), sample):
                     resid = curve - f_sq
@@ -678,8 +685,66 @@ def test_overflowing_pair_detuning_is_refused(func, args, dtl, monkeypatch):
     monkeypatch.setattr(steady, "_least_drive_sq", touched)
     assert math.isinf(dtl * dtl)
     with pytest.raises(ValueError,
-                       match="^dtl is too large: its square overflows$"):
+                       match="^dtl must be at most 1e\\+50 in magnitude$"):
         func(*args, dtl)
+
+
+_LIMIT = steady._INPUT_LIMIT
+
+
+def _answer(result):
+    """What a solver answered: (ap2, a2, psi) per state, or the report."""
+    if isinstance(result, steady.ThresholdReport):
+        return repr(result)
+    return [(s.ap2, s.a2, s.psi) for s in result]
+
+
+_NO_THRESHOLD = repr(steady.ThresholdReport(f_threshold=math.nan,
+                                            exists=False))
+# (solver, the argument at ±_INPUT_LIMIT, its value, the others, what
+# the solver answers there): the largest accepted magnitudes answer as
+# they did before the bound, without an overflow warning
+AT_LIMIT = [
+    (pump_only_branches, "f_norm", _LIMIT, {"dtp": 0.0},
+     [(2.1544346900318838e+33, 0.0, -math.pi / 2)]),
+    (pump_only_branches, "dtp", _LIMIT, {"f_norm": 1.0},
+     [(9.999999999999998e-101, 0.0, math.pi / 2)]),
+    (pump_only_branches, "dtp", -_LIMIT, {"f_norm": 1.0},
+     [(9.999999999999998e-101, 0.0, -math.pi / 2)]),
+    (parametric_branch, "f_norm", _LIMIT, {"dtp": 2.4, "dtl": 2.4}, []),
+    (parametric_branch, "dtp", _LIMIT, {"f_norm": 1.0, "dtl": 2.4}, []),
+    (parametric_branch, "dtp", -_LIMIT, {"f_norm": 1.0, "dtl": 2.4}, []),
+    (parametric_branch, "dtl", _LIMIT, {"f_norm": 1.0, "dtp": 0.0}, []),
+    (parametric_branch, "dtl", -_LIMIT, {"f_norm": 1.0, "dtp": 0.0}, []),
+    (threshold, "dtp", _LIMIT, {"dtl": 2.4}, _NO_THRESHOLD),
+    (threshold, "dtp", -_LIMIT, {"dtl": 2.4}, _NO_THRESHOLD),
+    (threshold, "dtl", _LIMIT, {"dtp": 0.0}, _NO_THRESHOLD),
+]
+
+
+@pytest.mark.parametrize("func, name, value, others, want", AT_LIMIT,
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_inputs_past_the_limit_are_refused_by_name(func, name, value, others,
+                                                   want, monkeypatch):
+    assert _answer(func(**others, **{name: value})) == want
+    past = math.nextafter(value, math.copysign(math.inf, value))
+
+    def touched(*a):
+        raise AssertionError("the solver computed past the limit")
+
+    for kernel in ("_cubic_roots", "_branch_scan", "_least_drive_sq"):
+        monkeypatch.setattr(steady, kernel, touched)
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be at most 1e\\+50 in magnitude$"):
+        func(**others, **{name: past})
+
+
+def test_every_limit_is_named():
+    with pytest.raises(ValueError, match="^f_norm, dtp, dtl must be at most"):
+        parametric_branch(1e51, -1e155, 1e300)
+    # a non-finite argument is named as such, before any large one
+    with pytest.raises(ValueError, match="^dtl must be finite$"):
+        parametric_branch(1e51, -1e155, math.inf)
 
 
 def _full_grid_minimum(dtp: float, dtl: float) -> float:
@@ -717,13 +782,68 @@ class TestThresholdMinimum:
         assert 1.0 < got[points.index((1.0, 2.0))] < math.inf
 
 
-# threshold points whose downward walk outlasted its first 60 steps
+# threshold points where _walk_threshold outlasts its first 60 steps
 WALK_PAST_60 = [(0.7949472382883835, 1.9986713558945053),
                 (1.074526827828275, 1.9998911515654514),
                 (0.46680977302421445, 1.9996159956502355)]
 
 
+def _walk_threshold(dtp: float,
+                    dtl: float) -> tuple[steady.ThresholdReport, int]:
+    """threshold as it was while it walked lo down from the grid minimum,
+    in steps of 1e-4 that doubled after 60, until no root was left; on
+    the production helpers. Returns the report and the steps walked."""
+    no = steady.ThresholdReport(f_threshold=math.nan, exists=False)
+    if dtl <= SQRT3:
+        return no, 0
+    best = steady._least_drive_sq(dtp, dtl)
+    if not math.isfinite(best) or best > steady._THRESHOLD_F_SQ_MAX:
+        return no, 0
+    hi = next((f for f in (math.sqrt(best * (1.0 + eps)) for eps in (
+        1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2)) if parametric_branch(
+            f, dtp, dtl)), None)
+    if hi is None:
+        return no, 0
+    lo, step, walked = math.sqrt(best) * (1.0 - 1e-6), 1e-4, 0
+    while parametric_branch(lo, dtp, dtl):
+        lo *= 1.0 - step
+        walked += 1
+        if walked >= 60:
+            step = min(2.0 * step, 0.5)
+    _, hi = steady._bisect(lo, hi, 80,
+                           lambda f: not parametric_branch(f, dtp, dtl))
+    return steady.ThresholdReport(f_threshold=hi, exists=True), walked
+
+
 class TestThreshold:
+    def test_same_bits_as_the_walk(self, rng):
+        # the bisection ends on adjacent floats, so it finds the same edge
+        # from the scans' least bracketable F² as from the end of the walk
+        points = [(float(dtp), float(dtl)) for dtp, dtl in zip(
+            rng.uniform(-1, 6, 240), rng.uniform(1.74, 7, 240))]
+        points += [(float(dtp), float(dtl)) for dtp, dtl in zip(
+            rng.uniform(-1, 6, 60),
+            np.exp(rng.uniform(math.log(7), math.log(300), 60)))]
+        found = 0
+        for dtp, dtl in points + WALK_PAST_60:
+            got = threshold(dtp, dtl)
+            assert repr(got) == repr(_walk_threshold(dtp, dtl)[0]), (dtp, dtl)
+            found += got.exists
+        assert found > 200
+
+    def test_no_walk_at_the_far_edges(self, monkeypatch):
+        calls = []
+        search = steady.parametric_branch
+        monkeypatch.setattr(steady, "parametric_branch",
+                            lambda *a: calls.append(a) or search(*a))
+        for dtp, dtl in WALK_PAST_60:
+            steady._branch_scan.cache_clear()
+            calls.clear()
+            rep = threshold(dtp, dtl)
+            assert rep.exists and len(calls) <= 60, len(calls)
+            _, walked = _walk_threshold(dtp, dtl)
+            assert walked > 60
+
     def test_bracketing(self):
         for dtp, dtl in [(1.8, 1.8), (2.0, 2.0), (2.6, 2.2), (1.5, 2.2)]:
             rep = threshold(dtp, dtl)
